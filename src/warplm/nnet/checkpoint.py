@@ -19,6 +19,7 @@ bytes, and a save/load/save round trip is bit-exact.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -54,33 +55,40 @@ def save_checkpoint(path, header: dict, params: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """-> (header, params). Every read is bounds-checked, so a truncated or
+    malformed file raises ValueError naming the path."""
     buf = Path(path).read_bytes()
+    off = 0
+
+    def take(n: int) -> bytes:
+        nonlocal off
+        if off + n > len(buf):
+            raise ValueError(
+                f"{path}: truncated checkpoint (needs {off + n} bytes, has {len(buf)})"
+            )
+        off += n
+        return buf[off - n : off]
+
+    def unpack(fmt: str):
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
     if buf[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic {buf[:4]!r}")
-    off = 4
-    (version,) = struct.unpack_from("<I", buf, off)
-    off += 4
+    take(4)
+    (version,) = unpack("<I")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    (hlen,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    header = json.loads(buf[off : off + hlen].decode("utf-8"))
-    off += hlen
-    (count,) = struct.unpack_from("<I", buf, off)
-    off += 4
+    (hlen,) = unpack("<I")
+    header = json.loads(take(hlen).decode("utf-8"))
+    (count,) = unpack("<I")
     params: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", buf, off)
-        off += 2
-        name = buf[off : off + nlen].decode("utf-8")
-        off += nlen
-        (ndim,) = struct.unpack_from("<B", buf, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", buf, off)
-        off += 4 * ndim
-        n = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        arr = np.frombuffer(buf, dtype="<f4", count=n, offset=off)
-        off += 4 * n
+        (nlen,) = unpack("<H")
+        name = take(nlen).decode("utf-8")
+        (ndim,) = unpack("<B")
+        shape = unpack(f"<{ndim}I")
+        n = math.prod(shape)  # exact: a corrupt shape cannot wrap around
+        arr = np.frombuffer(take(4 * n), dtype="<f4")
         params[name] = arr.reshape(shape).astype(np.float32, copy=True)
     if off != len(buf):
         raise ValueError(f"{path}: {len(buf) - off} trailing bytes in checkpoint")

@@ -4,6 +4,14 @@ Shapes: B batch, T sequence, D d_model, H heads, K d_head, F d_ff, V vocab.
 All gradients are derived by hand and checked against finite differences in
 the test suite; keep forward and backward in lockstep when editing.
 
+Activations, logits and gradients keep the parameter dtype: float32 models
+compute in float32 and float64 models (the gradient checks) in float64.
+
+The LM head computes logits only at predicted positions: the predicted rows
+of the hidden state are gathered *before* the tied output projection, so a
+step costs `[N_pred, V]` logits rather than `[B, T, V]`, and most positions
+predict nothing. `lm_loss` still accepts logits of any leading shape.
+
 `freeze_ins` zeroes the gradient row of the [INS] embedding from both the
 input-embedding path and the tied output projection, so that row never moves
 during training (Adam with an exactly-zero gradient leaves the weight
@@ -11,6 +19,8 @@ bit-identical).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.special import erf
@@ -20,8 +30,10 @@ from .model import EncoderModel
 
 LN_EPS = 1e-5
 NEG_INF = -1e9  # additive score for PAD keys; exp() underflows to exactly 0
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, not np.float64: NumPy promotes an array with a Python float
+# to the array's dtype, so GELU of a float32 array stays float32.
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def _gelu(u: np.ndarray) -> np.ndarray:
@@ -223,31 +235,30 @@ def encoder_backward(
 
 
 def lm_logits(model: EncoderModel, hidden: np.ndarray) -> np.ndarray:
-    """Tied output head: hidden @ tok_emb.T + out_bias -> [B,T,V]."""
+    """Tied output head: hidden @ tok_emb.T + out_bias -> [..., V]."""
     return hidden @ model.params["tok_emb"].T + model.params["out_bias"]
 
 
 def _masked_ce(logits, label_ids, predict_mask):
-    """Mean cross-entropy and accuracy over predicted positions, plus
-    dLoss/dlogits. Raises if the mask selects nothing."""
+    """Mean cross-entropy and accuracy over the rows of `logits` [..., C]
+    selected by `predict_mask` [...], plus dLoss/dlogits (zero at unselected
+    rows). Labels at unselected rows are ignored and may be out of range.
+    Returns (loss, accuracy, n_selected, d_logits); raises if the mask
+    selects nothing."""
     pm = np.asarray(predict_mask, dtype=bool)
     n_pred = int(pm.sum())
     if n_pred == 0:
         raise ValueError("no predictions in batch")
     z = logits - np.max(logits, axis=-1, keepdims=True)
-    logsum = np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
-    logp = z - logsum
-    labels = np.asarray(label_ids)
-    safe = np.where(pm, labels, 0)
-    picked = np.take_along_axis(logp, safe[..., None], axis=-1)[..., 0]
+    e = np.exp(z)
+    sum_e = np.sum(e, axis=-1, keepdims=True)
+    safe = np.where(pm, np.asarray(label_ids), 0)[..., None]
+    picked = (np.take_along_axis(z, safe, axis=-1) - np.log(sum_e))[..., 0]
     loss = -float(np.sum(picked, where=pm) / n_pred)
-    acc = float(np.sum((np.argmax(logits, axis=-1) == safe) & pm) / n_pred)
+    acc = float(np.sum((np.argmax(logits, axis=-1) == safe[..., 0]) & pm) / n_pred)
 
-    d = np.exp(logp)
-    np.put_along_axis(
-        d, safe[..., None], np.take_along_axis(d, safe[..., None], axis=-1) - 1.0,
-        axis=-1,
-    )
+    d = e / sum_e
+    np.put_along_axis(d, safe, np.take_along_axis(d, safe, axis=-1) - 1.0, axis=-1)
     d *= (pm[..., None] / n_pred).astype(d.dtype)
     return loss, acc, n_pred, d
 
@@ -266,14 +277,22 @@ def lm_backward(
     model: EncoderModel,
     cache: dict,
     d_logits: np.ndarray,
+    predict_mask: np.ndarray,
     freeze_ins: bool = True,
 ) -> dict[str, np.ndarray]:
-    """Backward through the tied head, then the encoder."""
+    """Backward through the tied head, then the encoder.
+
+    d_logits is [N_pred, V], one row per True of predict_mask [B,T] in
+    row-major order (the order of hidden[predict_mask]); every other
+    position gets zero gradient from the head.
+    """
+    pm = np.asarray(predict_mask, dtype=bool)
     hidden = cache["hidden"]
-    d_hidden = d_logits @ model.params["tok_emb"]
+    d_hidden = np.zeros_like(hidden)
+    d_hidden[pm] = d_logits @ model.params["tok_emb"]
     grads = encoder_backward(model, cache, d_hidden, freeze_ins=False)
-    grads["out_bias"] += d_logits.sum(axis=(0, 1))
-    grads["tok_emb"] += np.tensordot(d_logits, hidden, axes=([0, 1], [0, 1]))
+    grads["out_bias"] += d_logits.sum(axis=0)
+    grads["tok_emb"] += d_logits.T @ hidden[pm]
     if freeze_ins:
         grads["tok_emb"][INS_ID] = 0.0
     return grads
@@ -288,9 +307,16 @@ def lm_loss_and_grads(
     dropout_rng: np.random.Generator | None = None,
     freeze_ins: bool = True,
 ):
-    """One full LM training step's math: (loss, accuracy, n_pred, grads)."""
+    """One full LM training step's math: (loss, accuracy, n_pred, grads).
+
+    Logits are computed only at the predicted positions."""
+    pm = np.asarray(predict_mask, dtype=bool)
+    if pm.shape != np.shape(input_ids):
+        raise ValueError(f"predict_mask shape {pm.shape} != input_ids shape {np.shape(input_ids)}")
     hidden, cache = forward(model, input_ids, pad_mask, dropout_rng)
-    logits = lm_logits(model, hidden)
-    loss, acc, n_pred, d_logits = _masked_ce(logits, label_ids, predict_mask)
-    grads = lm_backward(model, cache, d_logits, freeze_ins=freeze_ins)
+    logits = lm_logits(model, hidden[pm])
+    loss, acc, n_pred, d_logits = _masked_ce(
+        logits, np.asarray(label_ids)[pm], np.ones(len(logits), dtype=bool)
+    )
+    grads = lm_backward(model, cache, d_logits, pm, freeze_ins=freeze_ins)
     return loss, acc, n_pred, grads

@@ -83,7 +83,8 @@ def evaluate_lm(
         if not pm.any():
             continue
         hidden, _ = forward(model, ids, pad_mask)
-        loss, acc, n_pred = lm_loss(lm_logits(model, hidden), labels, pm)
+        logits = lm_logits(model, hidden[pm])
+        loss, acc, n_pred = lm_loss(logits, labels[pm], np.ones(len(logits), dtype=bool))
         total_nll += loss * n_pred
         total_correct += acc * n_pred
         total_pred += n_pred

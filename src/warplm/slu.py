@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .nnet import EncoderModel, encoder_backward, forward, init_adam, load_checkpoint, save_checkpoint, step
-from .nnet.encoder import softmax
+from .nnet.encoder import _masked_ce
 from .seeding import derive_seed
 from .textcore import CLS_ID, PAD_ID, Vocab
 
@@ -234,23 +234,6 @@ def slu_forward(
     return intent_logits, slot_logits, cache
 
 
-def _ce_rows(logits, targets, rows_mask):
-    """Cross-entropy over rows selected by rows_mask (targets >= 0 there).
-    Returns (summed nll, d_logits scaled by 1/n within mask, n)."""
-    n = int(rows_mask.sum())
-    z = logits - logits.max(axis=-1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    safe = np.where(rows_mask, targets, 0)
-    picked = np.take_along_axis(logp, safe[..., None], axis=-1)[..., 0]
-    nll = -float(np.sum(picked, where=rows_mask))
-    d = np.exp(logp)
-    np.put_along_axis(
-        d, safe[..., None], np.take_along_axis(d, safe[..., None], axis=-1) - 1.0, axis=-1
-    )
-    d *= (rows_mask[..., None] / max(1, n)).astype(d.dtype)
-    return nll, d, n
-
-
 def slu_loss_and_grads(model: SLUModel, utts, dropout_rng=None, freeze_encoder=False):
     """Joint loss and gradients over encoder+head params (merged dict)."""
     ids, pad_mask, intent_ids, tag_ids, tag_mask = encode_slu_batch(model, utts)
@@ -259,11 +242,9 @@ def slu_loss_and_grads(model: SLUModel, utts, dropout_rng=None, freeze_encoder=F
         raise ValueError(f"intent label not in model inventory: {bad[0]!r}")
     intent_logits, slot_logits, cache = slu_forward(model, ids, pad_mask, dropout_rng)
 
-    i_nll, d_int, B = _ce_rows(intent_logits, intent_ids, np.ones(len(utts), bool))
-    s_nll, d_slot, n_tok = _ce_rows(slot_logits, tag_ids, tag_mask)
-    if n_tok == 0:
-        raise ValueError("no predictions in batch")
-    loss = i_nll / B + s_nll / n_tok
+    i_loss, _, _, d_int = _masked_ce(intent_logits, intent_ids, np.ones(len(utts), bool))
+    s_loss, _, _, d_slot = _masked_ce(slot_logits, tag_ids, tag_mask)
+    loss = i_loss + s_loss
 
     hidden = cache["hidden"]
     d_hidden = d_slot @ model.head["slot_w"].T

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seeding import derive_seed
-from .textcore import INS_ID, MASK_ID, N_SPECIALS, PAD_ID, Vocab
+from .textcore import INS_ID, MASK_ID, N_SPECIALS, PAD_ID, UNK_ID, Vocab
 
 
 class WarpOp(enum.Enum):
@@ -205,7 +205,9 @@ def apply_plan(original_ids, plan: WarpPlan, vocab: Vocab, seed: int) -> WarpedE
     """Apply a legal plan, emitting warped positions left to right.
 
     Random replacement/insertion tokens are drawn uniformly over non-special
-    ids (a RAND draw may coincide with the original token).
+    ids (a RAND draw may coincide with the original token). UNK is an
+    ordinary token here, so out-of-vocabulary words can be warped and
+    predicted; the other special ids are rejected.
     """
     original_ids = [int(x) for x in original_ids]
     if plan.seq_len != len(original_ids):
@@ -214,8 +216,8 @@ def apply_plan(original_ids, plan: WarpPlan, vocab: Vocab, seed: int) -> WarpedE
         )
     if not is_legal(plan):
         raise ValueError("illegal warp plan")
-    if any(x < N_SPECIALS for x in original_ids):
-        raise ValueError("original_ids must not contain special ids")
+    if any(x < N_SPECIALS and x != UNK_ID for x in original_ids):
+        raise ValueError("original_ids must not contain special ids other than UNK")
     vsize = len(vocab)
     rng = np.random.default_rng(seed)
 

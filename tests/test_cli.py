@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from warplm.cli import main, parse_config_file, resolve_run_config, build_parser
+from warplm.nnet import save_checkpoint
 
 
 def run(capsys, *argv):
@@ -169,3 +171,42 @@ def test_experiment_micro_cmd(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "exp" / "report.txt").exists()
     assert "report.txt" in out
+
+
+# -------------------------------------------------- OOV words and bad input
+
+def test_warp_preview_accepts_oov_word(workspace, capsys):
+    code, out, err = run(capsys, "warp-preview", "--vocab",
+                         str(workspace / "data" / "vocab.txt"),
+                         "book a flight to zanzibar")
+    assert code == 0, err
+    assert "original  book a flight to [UNK]" in out
+
+
+def test_pretrain_accepts_corpus_with_oov_line(workspace, tmp_path, capsys):
+    lines = (workspace / "data" / "corpus.txt").read_text().splitlines()[:40]
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("\n".join(lines + ["book a flight to zanzibar"]) + "\n")
+    code, _, err = run(capsys, "pretrain", "--corpus", str(corpus),
+                       "--vocab", str(workspace / "data" / "vocab.txt"),
+                       "--out", str(tmp_path / "enc.ckpt"), "--epochs", "1")
+    assert code == 0, err
+    assert (tmp_path / "enc.ckpt").exists()
+
+
+def test_finetune_truncated_checkpoint_is_single_line_error(workspace, tmp_path, capsys):
+    good = tmp_path / "tiny.ckpt"
+    save_checkpoint(good, {"kind": "encoder"},
+                    {"a": np.ones((2, 3), np.float32), "b": np.zeros(2, np.float32)})
+    raw = good.read_bytes()
+    bad = tmp_path / "cut.ckpt"
+    for cut in range(len(raw)):
+        bad.write_bytes(raw[:cut])
+        code, _, err = run(capsys, "finetune", "--checkpoint", str(bad),
+                           "--train", str(workspace / "data" / "slu_train.tsv"),
+                           "--val", str(workspace / "data" / "slu_val.tsv"),
+                           "--vocab", str(workspace / "data" / "vocab.txt"),
+                           "--out", str(tmp_path / "x.ckpt"))
+        assert code == 2, cut
+        assert err.startswith("error:") and err.strip().count("\n") == 0, err
+        assert "cut.ckpt" in err

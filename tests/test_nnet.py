@@ -242,6 +242,76 @@ def test_freeze_ins_zeroes_both_paths():
     np.testing.assert_array_equal(g_free["tok_emb"][other], g_frozen["tok_emb"][other])
 
 
+# ---------------------------------- gather-first head vs full-logits reference
+
+def full_logits_reference(model, ids, pad, labels, pm, dropout_rng=None, freeze_ins=True):
+    """The head as it is written without gathering: [B,T,V] logits, masked CE
+    over them, and the tied backward from the full d_logits."""
+    P = model.params
+    hidden, cache = forward(model, ids, pad, dropout_rng)
+    logits = hidden @ P["tok_emb"].T + P["out_bias"]
+    z = logits - logits.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    n = int(pm.sum())
+    b, t = np.nonzero(pm)
+    loss = -float(logp[b, t, labels[b, t]].sum() / n)
+    acc = float((np.argmax(logits[b, t], axis=-1) == labels[b, t]).sum() / n)
+    d = np.exp(logp)
+    d[b, t, labels[b, t]] -= 1.0
+    d *= pm[..., None] / n
+    grads = encoder_backward(model, cache, d @ P["tok_emb"], freeze_ins=False)
+    grads["out_bias"] += d.sum(axis=(0, 1))
+    grads["tok_emb"] += np.tensordot(d, hidden, axes=([0, 1], [0, 1]))
+    if freeze_ins:
+        grads["tok_emb"][INS_ID] = 0.0
+    return loss, acc, n, grads
+
+
+@pytest.mark.parametrize("freeze_ins", [True, False])
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_gather_first_head_matches_full_logits_reference(freeze_ins, dropout):
+    model = EncoderModel(
+        ModelConfig(**{**TINY.to_dict(), "dropout": dropout}), tiny_model().params
+    )
+    ids, pad, labels, pm = tiny_batch()
+    ids[1, 2] = INS_ID
+    labels[1, 3] = INS_ID
+    pm[1, 3] = True
+    rng = (lambda: np.random.default_rng(8)) if dropout else (lambda: None)
+    loss, acc, n, grads = lm_loss_and_grads(
+        model, ids, pad, labels, pm, dropout_rng=rng(), freeze_ins=freeze_ins
+    )
+    r_loss, r_acc, r_n, r_grads = full_logits_reference(
+        model, ids, pad, labels, pm, dropout_rng=rng(), freeze_ins=freeze_ins
+    )
+    assert n == r_n == pm.sum()
+    assert abs(loss - r_loss) < 1e-12 and abs(acc - r_acc) < 1e-12
+    assert set(grads) == set(r_grads)
+    for name in grads:
+        np.testing.assert_allclose(grads[name], r_grads[name], rtol=0, atol=1e-12,
+                                   err_msg=name)
+
+
+def test_gather_first_rejects_empty_or_misshapen_mask():
+    model = tiny_model()
+    ids, pad, labels, pm = tiny_batch()
+    with pytest.raises(ValueError, match="no predictions in batch"):
+        lm_loss_and_grads(model, ids, pad, labels, np.zeros_like(pad))
+    with pytest.raises(ValueError, match="predict_mask shape"):
+        lm_loss_and_grads(model, ids, pad, labels, pm[:, :-1])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_and_lm_grads_keep_parameter_dtype(dtype):
+    model = tiny_model(dtype=dtype)
+    ids, pad, labels, pm = tiny_batch()
+    hidden, _ = forward(model, ids, pad)
+    assert hidden.dtype == dtype
+    assert lm_logits(model, hidden).dtype == dtype
+    _, _, _, grads = lm_loss_and_grads(model, ids, pad, labels, pm)
+    assert {g.dtype for g in grads.values()} == {np.dtype(dtype)}
+
+
 def test_encoder_backward_matches_fd_through_plain_head():
     """encoder_backward checked on its own through a fixed linear probe."""
     model = tiny_model()
@@ -360,6 +430,17 @@ def test_checkpoint_trailing_bytes_rejected(tmp_path):
     p.write_bytes(p.read_bytes() + b"x")
     with pytest.raises(ValueError, match="trailing"):
         load_checkpoint(p)
+
+
+def test_checkpoint_truncated_anywhere_is_value_error(tmp_path):
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, {"kind": "encoder"},
+                    {"a": np.ones((2, 3), np.float32), "b": np.zeros(2, np.float32)})
+    raw = p.read_bytes()
+    for cut in range(len(raw)):
+        p.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match="m.ckpt"):
+            load_checkpoint(p)
 
 
 def test_checkpoint_tensor_values_exact(tmp_path):

@@ -299,6 +299,16 @@ def test_slu_grads_match_finite_differences():
             assert abs(fd - an) / max(1e-4, abs(fd) + abs(an)) < 1e-3, name
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_slu_grads_keep_parameter_dtype(dtype):
+    utts = synth_slu_utterances(4, VOCAB, seed=3)
+    model = init_slu_model(desk_encoder().astype(dtype), *label_inventory(utts))
+    for k in model.head:
+        model.head[k] = model.head[k].astype(dtype)
+    _, grads = slu_loss_and_grads(model, utts, dropout_rng=np.random.default_rng(0))
+    assert {g.dtype for g in grads.values()} == {np.dtype(dtype)}
+
+
 def test_slu_predict_shapes_and_inventory():
     utts = synth_slu_utterances(5, VOCAB, seed=5)
     model = init_slu_model(desk_encoder(), *label_inventory(utts))

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from warplm.seeding import derive_seed
-from warplm.textcore import INS_ID, MASK_ID, N_SPECIALS, SPECIAL_TOKENS, Vocab
+from warplm.textcore import (
+    CLS_ID, INS_ID, MASK_ID, N_SPECIALS, PAD_ID, SPECIAL_TOKENS, UNK_ID, Vocab,
+)
 from warplm.warp import (
     IGNORE_LABEL,
     MLM_PROPORTIONS,
@@ -163,6 +165,15 @@ def test_apply_rejects_length_mismatch():
 def test_apply_rejects_special_ids_in_input():
     with pytest.raises(ValueError, match="special ids"):
         apply_plan([A, MASK_ID], plan(2, {}), VOCAB, seed=0)
+
+
+def test_apply_treats_unk_as_ordinary_token():
+    ex = apply_plan([A, UNK_ID, B], plan(3, {1: WarpOp.MASK}), VOCAB, seed=0)
+    assert ex.input_ids == [A, MASK_ID, B]
+    assert ex.label_ids[1] == UNK_ID and ex.predict_mask == [False, True, False]
+    for bad in (PAD_ID, CLS_ID, MASK_ID, INS_ID):
+        with pytest.raises(ValueError, match="special ids other than UNK"):
+            apply_plan([A, bad], plan(2, {}), VOCAB, seed=0)
 
 
 def test_apply_deterministic_given_seed():
