@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seeding import derive_seed
-from .slu import OUTSIDE, TaggedUtterance, iob_repair
-from .textcore import N_SPECIALS, UNK_ID, Vocab
+from .slu import OUTSIDE, TaggedUtterance, iob_repair, save_slu_file
+from .textcore import N_SPECIALS, UNK_ID, Vocab, write_json
 
 
 @dataclass(frozen=True)
@@ -139,12 +139,6 @@ class AlignmentStats:
             raise ValueError("empty reference")
         return (self.n_sub + self.n_del + self.n_ins) / self.n_ref
 
-    def to_json(self) -> dict:
-        return {
-            "n_ref": self.n_ref, "n_match": self.n_match, "n_sub": self.n_sub,
-            "n_del": self.n_del, "n_ins": self.n_ins, "wer": self.wer,
-        }
-
 
 def wer(ref: list, hyp: list) -> float:
     """(S + D + I) / len(ref); may exceed 1.0. Errors on an empty ref."""
@@ -251,3 +245,11 @@ def make_noisy_slu_set(
     }
     sidecar.insert(0, sidecar_meta)
     return noisy, sidecar, stats
+
+
+def save_noisy_slu_set(tsv_path, align_path, noisy_set, vocab: Vocab) -> None:
+    """Write a make_noisy_slu_set result: the noisy utterances as an SLU
+    file, and the alignment sidecar as JSON {"meta", "wer", "utterances"}."""
+    noisy, sidecar, stats = noisy_set
+    save_slu_file(tsv_path, noisy, vocab)
+    write_json(align_path, {"meta": sidecar[0], "wer": stats.wer, "utterances": sidecar[1:]})

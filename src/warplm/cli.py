@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,9 +47,6 @@ class RunConfig:
     p_select: float = 0.15
     val_fraction: float = 0.1
     freeze_encoder: bool = False
-
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
@@ -150,27 +146,20 @@ def cmd_pretrain(args) -> int:
         vocab_size=len(vocab), d_model=rc.d_model, n_layers=rc.n_layers,
         n_heads=rc.n_heads, d_ff=rc.d_ff, max_len=rc.max_len, dropout=rc.dropout,
     )
-    log_path = args.log or (args.out + ".log.jsonl")
-    rows = []
 
     def log_row(row):
-        rows.append(row)
         print(f"epoch {row.epoch}: train_loss={row.train_loss:.4f} "
               f"val_ppl={row.val_perplexity:.3f} val_acc={row.val_accuracy:.3f}")
 
-    model, _ = pretrain_mod.pretrain(
+    model, history = pretrain_mod.pretrain(
         train_sents, val_sents, vocab, model_cfg, _warp_config(rc),
         epochs=rc.epochs, batch_size=rc.batch_size, lr=rc.lr, seed=rc.seed,
         log=log_row,
     )
-    with open(log_path, "w") as fh:
-        for row in rows:
-            fh.write(json.dumps(row.to_json(), sort_keys=True) + "\n")
+    textcore.write_jsonl(args.log or (args.out + ".log.jsonl"), history)
     save_encoder(args.out, model, vocab.content_hash,
                  extra={"objective": rc.objective})
-    Path(args.out + ".runconfig.json").write_text(
-        json.dumps(rc.to_json(), sort_keys=True, indent=1), encoding="utf-8"
-    )
+    textcore.write_json(args.out + ".runconfig.json", dataclasses.asdict(rc))
     print(f"wrote {args.out} ({rc.objective}, {rc.epochs} epochs)")
     return 0
 
@@ -198,11 +187,9 @@ def cmd_corrupt(args) -> int:
     else:
         noise = asrsim.NoiseConfig(p_sub=args.p_sub, p_del=args.p_del,
                                    p_ins=args.p_ins)
-    noisy, sidecar, stats = asrsim.make_noisy_slu_set(utts, noise, vocab, args.seed)
-    slu.save_slu_file(args.out, noisy, vocab)
-    with open(args.out + ".align.json", "w") as fh:
-        json.dump({"meta": sidecar[0], "wer": stats.wer, "utterances": sidecar[1:]},
-                  fh, sort_keys=True, indent=1)
+    noisy_set = asrsim.make_noisy_slu_set(utts, noise, vocab, args.seed)
+    asrsim.save_noisy_slu_set(args.out, args.out + ".align.json", noisy_set, vocab)
+    noisy, sidecar, stats = noisy_set
     print(f"wrote {args.out}: {len(noisy)} utterances wer={stats.wer:.4f} "
           f"fully_deleted={sidecar[0]['n_fully_deleted']}")
     return 0
@@ -214,27 +201,20 @@ def cmd_finetune(args) -> int:
     encoder, _ = load_encoder(args.checkpoint, expect_vocab_hash=vocab.content_hash)
     train = slu.load_slu_file(args.train, vocab)
     val = slu.load_slu_file(args.val, vocab)
-    rows = []
 
     def log_row(row):
-        rows.append(row)
         print(f"epoch {row.epoch}: loss={row.train_loss:.4f} "
               f"intent={row.intent_accuracy:.3f} slot_f1={row.slot_f1:.3f} "
               f"joint={row.joint_accuracy:.3f}")
 
-    model, _ = slu.finetune(
+    model, history = slu.finetune(
         encoder, train, val, epochs=rc.epochs, batch_size=rc.batch_size,
         lr=rc.lr, seed=rc.seed, freeze_encoder=rc.freeze_encoder, log=log_row,
     )
-    log_path = args.log or (args.out + ".log.jsonl")
-    with open(log_path, "w") as fh:
-        for row in rows:
-            fh.write(json.dumps(row.to_json(), sort_keys=True) + "\n")
+    textcore.write_jsonl(args.log or (args.out + ".log.jsonl"), history)
     slu.save_slu(args.out, model, vocab.content_hash)
-    Path(args.out + ".runconfig.json").write_text(
-        json.dumps(rc.to_json(), sort_keys=True, indent=1), encoding="utf-8"
-    )
-    best = max(rows, key=lambda r: r.joint_accuracy)
+    textcore.write_json(args.out + ".runconfig.json", dataclasses.asdict(rc))
+    best = slu.kept_epoch(history)
     print(f"wrote {args.out} (best val joint={best.joint_accuracy:.3f} "
           f"at epoch {best.epoch})")
     return 0
@@ -246,9 +226,7 @@ def cmd_evaluate(args) -> int:
     utts = slu.load_slu_file(args.data, vocab)
     m = slu.evaluate_slu(model, utts)
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(m.to_json(), sort_keys=True, indent=1), encoding="utf-8"
-        )
+        textcore.write_json(args.out, dataclasses.asdict(m))
     print(f"intent_acc={m.intent_accuracy:.4f} slot_p={m.slot_precision:.4f} "
           f"slot_r={m.slot_recall:.4f} slot_f1={m.slot_f1:.4f} "
           f"joint_acc={m.joint_accuracy:.4f}")

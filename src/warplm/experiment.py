@@ -14,20 +14,19 @@ test between the two objectives.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .asrsim import NoiseConfig, make_noisy_slu_set
+from .asrsim import NoiseConfig, make_noisy_slu_set, save_noisy_slu_set
 from .nnet import EncoderModel, ModelConfig
 from .pretrain import pretrain
 from .seeding import derive_seed
-from .slu import TaggedUtterance, evaluate_slu, finetune, save_slu_file
+from .slu import evaluate_slu, finetune, save_slu_file
 from .synth import synth_corpus_text, synth_slu_splits, synth_vocab
-from .textcore import Vocab, corpus_from_text, save_vocab
+from .textcore import corpus_from_text, save_vocab, write_json, write_jsonl
 from .warp import WarpConfig
 
 SETTINGS = ("clean-clean", "clean-noisy", "noisy-noisy")
@@ -91,13 +90,6 @@ class RunRecord:
     slot_f1: float
     joint_accuracy: float
 
-    def to_json(self) -> dict:
-        return {
-            "objective": self.objective, "setting": self.setting, "seed": self.seed,
-            "intent_accuracy": self.intent_accuracy, "slot_f1": self.slot_f1,
-            "joint_accuracy": self.joint_accuracy,
-        }
-
 
 @dataclass
 class ExperimentReport:
@@ -106,15 +98,6 @@ class ExperimentReport:
     p_values: dict  # setting -> metric -> p
     alpha: float = 0.05
     meta: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "records": [r.to_json() for r in self.records],
-            "summary": self.summary,
-            "p_values": self.p_values,
-            "alpha": self.alpha,
-            "meta": self.meta,
-        }
 
 
 def summarize(records: list[RunRecord], matrix: ExperimentMatrix, alpha: float = 0.05,
@@ -230,14 +213,10 @@ def run_experiment(
         ("val", val, NoiseConfig.train_val(), 4),
         ("test", test, NoiseConfig.test(), 5),
     ):
-        noisy, sidecar, stats = make_noisy_slu_set(
-            utts, cfg_noise, vocab, derive_seed(seed, tag)
-        )
-        noisy_sets[name] = noisy
-        save_slu_file(out / f"slu_{name}_noisy.tsv", noisy, vocab)
-        with open(out / f"slu_{name}_noisy.align.json", "w") as fh:
-            json.dump({"meta": sidecar[0], "wer": stats.wer, "utterances": sidecar[1:]},
-                      fh, sort_keys=True, indent=1)
+        noisy_set = make_noisy_slu_set(utts, cfg_noise, vocab, derive_seed(seed, tag))
+        noisy_sets[name] = noisy_set[0]
+        save_noisy_slu_set(out / f"slu_{name}_noisy.tsv",
+                           out / f"slu_{name}_noisy.align.json", noisy_set, vocab)
 
     encoders: dict[str, EncoderModel] = {}
     for obj in matrix.objectives:
@@ -250,9 +229,7 @@ def run_experiment(
             seed=derive_seed(seed, 6),
         )
         encoders[obj] = model
-        with open(out / f"pretrain_{obj}.jsonl", "w") as fh:
-            for row in history:
-                fh.write(json.dumps(row.to_json(), sort_keys=True) + "\n")
+        write_jsonl(out / f"pretrain_{obj}.jsonl", history)
 
     records: list[RunRecord] = []
     for setting in matrix.settings:
@@ -281,12 +258,9 @@ def run_experiment(
         "finetune_epochs": finetune_epochs, "seed": seed,
         "model": model_cfg.to_dict(),
     }
-    with open(out / "results.jsonl", "w") as fh:
-        for rec in sorted(records, key=lambda r: (r.setting, r.objective, r.seed)):
-            fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
-    (out / "report.json").write_text(
-        json.dumps(report.to_json(), sort_keys=True, indent=1), encoding="utf-8"
-    )
+    write_jsonl(out / "results.jsonl",
+                sorted(records, key=lambda r: (r.setting, r.objective, r.seed)))
+    write_json(out / "report.json", asdict(report))
     table = render_table(report, matrix)
     (out / "report.txt").write_text(table, encoding="utf-8")
     if log:

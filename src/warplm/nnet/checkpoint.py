@@ -12,8 +12,9 @@ Layout (all integers little-endian):
         data  float32 little-endian, C order
 
 The header carries the model config, the vocab content hash, and a "kind"
-tag ("encoder" or "slu"). Writing the same state twice produces identical
-bytes, and a save/load/save round trip is bit-exact.
+tag ("encoder" or "slu"; an SLU header also lists its intent and tag
+labels). Writing the same state twice produces identical bytes, and a
+save/load/save round trip is bit-exact, 0-d tensors included.
 """
 
 from __future__ import annotations
@@ -25,10 +26,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import EncoderModel, ModelConfig
+from .model import EncoderModel, ModelConfig, head_shapes, param_shapes
 
 CHECKPOINT_MAGIC = b"WLM1"
 CHECKPOINT_VERSION = 1
+
+# header keys the loaders read and their JSON types, per checkpoint kind
+HEADER_KEYS = {
+    "encoder": {"config": dict, "vocab_hash": str},
+    "slu": {"config": dict, "vocab_hash": str, "intent_labels": list, "tag_labels": list},
+}
 
 
 def _canon_json(obj) -> bytes:
@@ -45,7 +52,7 @@ def save_checkpoint(path, header: dict, params: dict[str, np.ndarray]) -> None:
         struct.pack("<I", len(params)),
     ]
     for name in sorted(params):
-        arr = np.ascontiguousarray(params[name], dtype="<f4")
+        arr = np.asarray(params[name], dtype="<f4")
         nb = name.encode("utf-8")
         parts.append(struct.pack("<H", len(nb)) + nb)
         parts.append(struct.pack("<B", arr.ndim))
@@ -106,16 +113,45 @@ def save_encoder(path, model: EncoderModel, vocab_hash: str, extra: dict | None 
     save_checkpoint(path, header, model.params)
 
 
-def load_encoder(path, expect_vocab_hash: str | None = None):
-    """-> (EncoderModel, header). Optionally enforces the vocab hash."""
+def load_model_checkpoint(path, kinds: tuple[str, ...], expect_vocab_hash: str | None = None):
+    """-> (header, config, params) of a checkpoint whose kind is in `kinds`.
+
+    Checks everything the loaders read: the header keys of its kind, the
+    model config, the vocab hash when one is expected, and that the tensor
+    names and shapes are exactly param_shapes(config), plus for "slu" the
+    heads implied by the label counts. Raises ValueError naming the path."""
     header, params = load_checkpoint(path)
-    if header.get("kind") not in ("encoder", "slu"):
-        raise ValueError(f"{path}: checkpoint kind {header.get('kind')!r} has no encoder")
+    kind = header.get("kind") if isinstance(header, dict) else None
+    if kind not in kinds:
+        raise ValueError(f"{path}: checkpoint kind {kind!r}, expected {' or '.join(kinds)}")
+    bad = [k for k, t in HEADER_KEYS[kind].items() if not isinstance(header.get(k), t)]
+    if bad:
+        raise ValueError(f"{path}: checkpoint header lacks a valid {', '.join(bad)}")
     if expect_vocab_hash is not None and header["vocab_hash"] != expect_vocab_hash:
         raise ValueError(
             f"{path}: vocab hash mismatch (checkpoint {header['vocab_hash'][:12]}..., "
             f"current vocab {expect_vocab_hash[:12]}...)"
         )
-    config = ModelConfig.from_dict(header["config"])
+    try:
+        config = ModelConfig.from_dict(header["config"])
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{path}: bad model config: {e}") from None
+    expected = param_shapes(config)
+    if kind == "slu":
+        heads = head_shapes(config.d_model, len(header["intent_labels"]),
+                            len(header["tag_labels"]))
+        expected.update({"head." + k: s for k, s in heads.items()})
+    for name in sorted(expected.keys() | params.keys()):
+        got, want = (params[name].shape if name in params else None), expected.get(name)
+        if got != want:
+            what = "is missing" if got is None else f"has shape {got}"
+            raise ValueError(f"{path}: tensor {name} {what}, config needs "
+                             f"{'no such tensor' if want is None else want}")
+    return header, config, params
+
+
+def load_encoder(path, expect_vocab_hash: str | None = None):
+    """-> (EncoderModel, header). Optionally enforces the vocab hash."""
+    header, config, params = load_model_checkpoint(path, ("encoder", "slu"), expect_vocab_hash)
     enc_params = {k: v for k, v in params.items() if not k.startswith("head.")}
     return EncoderModel(config, enc_params), header

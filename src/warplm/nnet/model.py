@@ -91,6 +91,16 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def head_shapes(d_model: int, n_intents: int, n_tags: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of the SLU intent and slot heads (stored as "head.<name>")."""
+    return {
+        "intent_w": (d_model, n_intents),
+        "intent_b": (n_intents,),
+        "slot_w": (d_model, n_tags),
+        "slot_b": (n_tags,),
+    }
+
+
 def param_count(config: ModelConfig) -> int:
     """Total trainable scalars (embeddings tied, counted once)."""
     return sum(int(np.prod(s)) for s in param_shapes(config).values())

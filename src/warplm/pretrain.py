@@ -101,14 +101,6 @@ class EpochStats:
     val_perplexity: float
     val_accuracy: float
 
-    def to_json(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "val_perplexity": self.val_perplexity,
-            "val_accuracy": self.val_accuracy,
-        }
-
 
 def pretrain(
     train_sentences: list[list[int]],

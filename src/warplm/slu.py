@@ -21,8 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .nnet import EncoderModel, encoder_backward, forward, init_adam, load_checkpoint, save_checkpoint, step
+from .nnet import EncoderModel, encoder_backward, forward, init_adam, save_checkpoint, step
+from .nnet.checkpoint import load_model_checkpoint
 from .nnet.encoder import _masked_ce
+from .nnet.model import head_shapes
 from .seeding import derive_seed
 from .textcore import CLS_ID, PAD_ID, Vocab
 
@@ -185,10 +187,8 @@ def init_slu_model(
     rng = np.random.default_rng(derive_seed(seed, _SEED_HEAD_INIT))
     D = encoder.config.d_model
     head = {
-        "intent_w": rng.normal(0, 0.02, (D, len(intent_labels))).astype(np.float32),
-        "intent_b": np.zeros(len(intent_labels), dtype=np.float32),
-        "slot_w": rng.normal(0, 0.02, (D, len(tag_labels))).astype(np.float32),
-        "slot_b": np.zeros(len(tag_labels), dtype=np.float32),
+        k: (rng.normal(0, 0.02, s) if k.endswith("_w") else np.zeros(s)).astype(np.float32)
+        for k, s in head_shapes(D, len(intent_labels), len(tag_labels)).items()
     }
     return SLUModel(encoder, list(intent_labels), list(tag_labels), head)
 
@@ -336,15 +336,6 @@ class SLUMetrics:
     slot_f1: float
     joint_accuracy: float
 
-    def to_json(self) -> dict:
-        return {
-            "intent_accuracy": self.intent_accuracy,
-            "slot_precision": self.slot_precision,
-            "slot_recall": self.slot_recall,
-            "slot_f1": self.slot_f1,
-            "joint_accuracy": self.joint_accuracy,
-        }
-
 
 def evaluate_slu(model: SLUModel, utts: list[TaggedUtterance]) -> SLUMetrics:
     pred_intents, pred_tags = slu_predict(model, utts)
@@ -370,14 +361,12 @@ class FinetuneEpoch:
     slot_f1: float
     joint_accuracy: float
 
-    def to_json(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "intent_accuracy": self.intent_accuracy,
-            "slot_f1": self.slot_f1,
-            "joint_accuracy": self.joint_accuracy,
-        }
+
+def kept_epoch(history: list[FinetuneEpoch]) -> FinetuneEpoch:
+    """The epoch whose weights `finetune` keeps: best validation joint
+    accuracy, latest epoch on ties (equal-joint snapshots prefer the
+    most-trained weights)."""
+    return max(reversed(history), key=lambda r: r.joint_accuracy)
 
 
 def finetune(
@@ -393,9 +382,7 @@ def finetune(
 ) -> tuple[SLUModel, list[FinetuneEpoch]]:
     """Fine-tune a (copy of a) pretrained encoder with fresh heads.
 
-    Keeps the parameters from the epoch with the best validation joint
-    accuracy (latest epoch wins ties, so equal-joint snapshots prefer the
-    most-trained weights)."""
+    Keeps the parameters from `kept_epoch(history)`."""
     if not train_utts:
         raise ValueError("empty corpus")
     intents, tags = label_inventory(train_utts + val_utts)
@@ -407,7 +394,7 @@ def finetune(
     )
     adam = init_adam(trainable, lr=lr)
     history: list[FinetuneEpoch] = []
-    best = (-1.0, None)
+    snap = None
     for epoch in range(1, epochs + 1):
         order = np.random.default_rng(
             derive_seed(seed, _SEED_SHUFFLE, epoch)
@@ -432,10 +419,9 @@ def finetune(
         history.append(row)
         if log is not None:
             log(row)
-        if m.joint_accuracy >= best[0]:
-            best = (m.joint_accuracy, copy.deepcopy(model.all_params()))
-    if best[1] is not None:
-        snap = best[1]
+        if kept_epoch(history) is row:
+            snap = copy.deepcopy(model.all_params())
+    if snap is not None:
         for k, v in model.encoder.params.items():
             np.copyto(v, snap[k])
         for k, v in model.head.items():
@@ -457,18 +443,9 @@ def save_slu(path, model: SLUModel, vocab_hash: str) -> None:
 
 
 def load_slu(path, expect_vocab_hash: str | None = None) -> tuple[SLUModel, dict]:
-    from .nnet.model import ModelConfig
-
-    header, params = load_checkpoint(path)
-    if header.get("kind") != "slu":
-        raise ValueError(f"{path}: checkpoint kind {header.get('kind')!r}, expected slu")
-    if expect_vocab_hash is not None and header["vocab_hash"] != expect_vocab_hash:
-        raise ValueError(
-            f"{path}: vocab hash mismatch (checkpoint {header['vocab_hash'][:12]}..., "
-            f"current vocab {expect_vocab_hash[:12]}...)"
-        )
+    header, config, params = load_model_checkpoint(path, ("slu",), expect_vocab_hash)
     enc_params = {k: v for k, v in params.items() if not k.startswith("head.")}
     head = {k[5:]: v for k, v in params.items() if k.startswith("head.")}
-    encoder = EncoderModel(ModelConfig.from_dict(header["config"]), enc_params)
+    encoder = EncoderModel(config, enc_params)
     model = SLUModel(encoder, header["intent_labels"], header["tag_labels"], head)
     return model, header

@@ -1,16 +1,19 @@
-"""Word-level vocabulary, encoding/decoding, and corpus ingestion.
+"""Word-level vocabulary, encoding/decoding, corpus ingestion, and the
+JSON artifact writers.
 
 Ids 0..4 are reserved for the special tokens PAD, UNK, CLS, MASK, INS;
 corpus-derived tokens start at id 5. The vocab file format is one token
 per line (line number == id), so identical corpora always serialize to
-byte-identical files.
+byte-identical files. JSON artifacts are written with sorted keys for the
+same reason.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 PAD_ID = 0
@@ -136,3 +139,16 @@ def corpus_from_text(text: str, vocab: Vocab, source_path: str = "<memory>") -> 
 def load_corpus(path: str | Path, vocab: Vocab) -> Corpus:
     """Read a one-sentence-per-line UTF-8 corpus file. Blank lines are skipped."""
     return corpus_from_text(Path(path).read_text(encoding="utf-8"), vocab, str(path))
+
+
+def write_json(path: str | Path, obj) -> None:
+    """One JSON document: sorted keys, one-space indent, UTF-8."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1), encoding="utf-8")
+
+
+def write_jsonl(path: str | Path, rows) -> None:
+    """JSON lines: one sorted-keys object per dataclass row."""
+    Path(path).write_text(
+        "".join(json.dumps(asdict(r), sort_keys=True) + "\n" for r in rows),
+        encoding="utf-8",
+    )

@@ -97,11 +97,10 @@ WLM_PROPORTIONS = {
 
 @dataclass
 class WarpPlan:
-    """Op assignment over original positions, plus the seed that produced it."""
+    """Op assignment over original positions."""
 
     seq_len: int
     ops: dict[int, WarpOp]
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.seq_len < 0:
@@ -113,18 +112,6 @@ class WarpPlan:
     def count(self, op: WarpOp) -> int:
         return sum(1 for o in self.ops.values() if o is op)
 
-    def to_json(self) -> dict:
-        return {
-            "seq_len": self.seq_len,
-            "ops": {str(i): op.value for i, op in sorted(self.ops.items())},
-            "rng_seed": self.rng_seed,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "WarpPlan":
-        ops = {int(i): WarpOp(name) for i, name in obj["ops"].items()}
-        return cls(obj["seq_len"], ops, obj.get("rng_seed", 0))
-
 
 @dataclass
 class WarpedExample:
@@ -135,15 +122,6 @@ class WarpedExample:
     predict_mask: list[bool]
     original_ids: list[int]
     plan: WarpPlan
-
-    def to_json(self) -> dict:
-        return {
-            "input_ids": self.input_ids,
-            "label_ids": self.label_ids,
-            "predict_mask": [bool(b) for b in self.predict_mask],
-            "original_ids": self.original_ids,
-            "plan": self.plan.to_json(),
-        }
 
 
 def is_legal(plan: WarpPlan) -> bool:
@@ -172,7 +150,7 @@ def repair_plan(plan: WarpPlan) -> WarpPlan:
     last = plan.seq_len - 1
     if ops.get(last) is WarpOp.DROP:
         ops[last] = WarpOp.MASK
-    return WarpPlan(plan.seq_len, ops, plan.rng_seed)
+    return WarpPlan(plan.seq_len, ops)
 
 
 def sample_raw_plan(seq_len: int, config: WarpConfig, seed: int) -> WarpPlan:
@@ -186,14 +164,14 @@ def sample_raw_plan(seq_len: int, config: WarpConfig, seed: int) -> WarpPlan:
     rng = np.random.default_rng(seed)
     ops: dict[int, WarpOp] = {}
     if seq_len == 0 or config.p_select == 0.0:
-        return WarpPlan(seq_len, ops, seed)
+        return WarpPlan(seq_len, ops)
     selected = np.flatnonzero(rng.random(seq_len) < config.p_select)
     if selected.size:
         cum = np.cumsum([config.proportions.get(op, 0.0) for op in OP_ORDER])
         draws = rng.random(selected.size)
         buckets = np.minimum(np.searchsorted(cum, draws, side="right"), len(OP_ORDER) - 1)
         ops = {int(i): OP_ORDER[int(b)] for i, b in zip(selected, buckets)}
-    return WarpPlan(seq_len, ops, seed)
+    return WarpPlan(seq_len, ops)
 
 
 def sample_plan(seq_len: int, config: WarpConfig, seed: int) -> WarpPlan:

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from warplm.cli import main, parse_config_file, resolve_run_config, build_parser
-from warplm.nnet import save_checkpoint
+from warplm.nnet import (
+    ModelConfig, init_model, load_checkpoint, load_encoder, save_checkpoint, save_encoder,
+)
+from warplm.slu import init_slu_model, load_slu, save_slu
+from warplm.textcore import load_vocab
 
 
 def run(capsys, *argv):
@@ -139,6 +143,23 @@ def test_finetune_and_evaluate_cmds(workspace, tmp_path, capsys):
                             "slot_f1", "joint_accuracy"}
 
 
+def test_finetune_reports_the_kept_epoch_on_ties(workspace, tmp_path, capsys):
+    # lr 0 leaves the weights unchanged, so every epoch ties on joint accuracy
+    # and fine-tuning keeps the last one.
+    code, out, err = run(capsys, "finetune",
+                         "--checkpoint", str(workspace / "enc.ckpt"),
+                         "--train", str(workspace / "data" / "slu_train.tsv"),
+                         "--val", str(workspace / "data" / "slu_val.tsv"),
+                         "--vocab", str(workspace / "data" / "vocab.txt"),
+                         "--out", str(tmp_path / "slu.ckpt"),
+                         "--epochs", "3", "--lr", "0")
+    assert code == 0, err
+    log = [json.loads(line) for line in
+           (tmp_path / "slu.ckpt.log.jsonl").read_text().splitlines()]
+    assert len({row["joint_accuracy"] for row in log}) == 1
+    assert out.strip().splitlines()[-1].endswith("at epoch 3)")
+
+
 def test_finetune_vocab_mismatch_is_single_line_error(workspace, tmp_path, capsys):
     other = tmp_path / "other_vocab.txt"
     other.write_text("\n".join(["[PAD]", "[UNK]", "[CLS]", "[MASK]", "[INS]",
@@ -210,3 +231,56 @@ def test_finetune_truncated_checkpoint_is_single_line_error(workspace, tmp_path,
         assert code == 2, cut
         assert err.startswith("error:") and err.strip().count("\n") == 0, err
         assert "cut.ckpt" in err
+
+
+def _drop_heads(header, params):
+    for k in [k for k in params if k.startswith("head.")]:
+        del params[k]
+
+
+def _unknown_config_key(header, params):
+    header["config"]["n_experts"] = 4
+
+
+def _wrong_ffn_shape(header, params):
+    w1 = params["layers.0.ffn.w1"]
+    params["layers.0.ffn.w1"] = np.zeros((w1.shape[0], w1.shape[1] + 1), np.float32)
+
+
+@pytest.mark.parametrize("kind, mutate", [
+    ("slu", _drop_heads),
+    ("slu", lambda header, params: header.update(intent_labels=5)),
+    ("encoder", lambda header, params: params.pop("tok_emb")),
+    ("encoder", lambda header, params: header.pop("vocab_hash")),
+    ("encoder", _unknown_config_key),
+    ("encoder", _wrong_ffn_shape),
+], ids=["slu_without_heads", "slu_labels_not_a_list", "no_tok_emb", "no_vocab_hash", "unknown_config_key",
+        "wrong_ffn_shape"])
+def test_malformed_checkpoint_is_single_line_error(workspace, tmp_path, capsys, kind, mutate):
+    data, vocab_path = workspace / "data", workspace / "data" / "vocab.txt"
+    vocab = load_vocab(vocab_path)
+    cfg = ModelConfig(len(vocab), d_model=8, n_layers=1, n_heads=2, d_ff=16, max_len=32)
+    good = tmp_path / "good.ckpt"
+    if kind == "slu":
+        model = init_slu_model(init_model(cfg), ["atis_flight"], ["O", "B-city"])
+        save_slu(good, model, vocab.content_hash)
+    else:
+        save_encoder(good, init_model(cfg), vocab.content_hash)
+    header, params = load_checkpoint(good)
+    mutate(header, params)
+    bad = tmp_path / "malformed.ckpt"
+    save_checkpoint(bad, header, params)
+
+    with pytest.raises(ValueError, match="malformed.ckpt"):
+        (load_slu if kind == "slu" else load_encoder)(bad)
+    if kind == "slu":
+        argv = ["evaluate", "--checkpoint", str(bad), "--data", str(data / "slu_test.tsv"),
+                "--vocab", str(vocab_path)]
+    else:
+        argv = ["finetune", "--checkpoint", str(bad), "--train", str(data / "slu_train.tsv"),
+                "--val", str(data / "slu_val.tsv"), "--vocab", str(vocab_path),
+                "--out", str(tmp_path / "x.ckpt")]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and err.strip().count("\n") == 0, err
+    assert "malformed.ckpt" in err

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from dataclasses import asdict
 
 import pytest
 
@@ -95,7 +96,7 @@ def test_summarize_and_table():
     assert "wlm" in table and "mlm" in table
     assert "*" in table
     assert "clean-noisy" in table
-    json.dumps(report.to_json())
+    json.dumps(asdict(report))
 
 
 def test_matrix_validation():

@@ -444,8 +444,10 @@ def test_checkpoint_truncated_anywhere_is_value_error(tmp_path):
 
 
 def test_checkpoint_tensor_values_exact(tmp_path):
-    arr = np.array([0.1, -2.5, 3e-8, 1e9], dtype=np.float32)
     p = tmp_path / "t.ckpt"
-    save_checkpoint(p, {"kind": "encoder"}, {"w": arr})
-    _, params = load_checkpoint(p)
-    assert np.array_equal(params["w"].view(np.uint32), arr.view(np.uint32))
+    for arr in (np.array([0.1, -2.5, 3e-8, 1e9], dtype=np.float32),
+                np.float32(2.5).reshape(())):  # 0-d keeps its shape
+        save_checkpoint(p, {"kind": "encoder"}, {"w": arr})
+        _, params = load_checkpoint(p)
+        assert params["w"].shape == arr.shape
+        assert np.array_equal(params["w"].view(np.uint32), arr.view(np.uint32))

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ def test_pretrain_is_deterministic():
     m2, h2 = pretrain(sents[10:], sents[:10], VOCAB, cfg, WarpConfig.wlm(), **kw)
     for k in m1.params:
         assert np.array_equal(m1.params[k], m2.params[k]), k
-    assert [r.to_json() for r in h1] == [r.to_json() for r in h2]
+    assert [asdict(r) for r in h1] == [asdict(r) for r in h2]
 
 
 def test_pretrain_seed_changes_run():
@@ -97,6 +98,6 @@ def test_evaluate_lm_fixed_warps():
 
 def test_epoch_stats_json_shape():
     row = EpochStats(3, 1.5, 12.0, 0.5)
-    js = row.to_json()
+    js = asdict(row)
     assert set(js) == {"epoch", "train_loss", "val_perplexity", "val_accuracy"}
     json.dumps(js)

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -349,7 +350,7 @@ def test_finetune_deterministic():
         assert np.array_equal(m1.encoder.params[k], m2.encoder.params[k])
     for k in m1.head:
         assert np.array_equal(m1.head[k], m2.head[k])
-    assert [r.to_json() for r in h1] == [r.to_json() for r in h2]
+    assert [asdict(r) for r in h1] == [asdict(r) for r in h2]
 
 
 def test_finetune_does_not_mutate_input_encoder():

@@ -191,12 +191,6 @@ def test_random_tokens_never_special():
         assert ex.input_ids[0] >= N_SPECIALS
 
 
-def test_plan_json_round_trip():
-    p = plan(6, {0: WarpOp.KEEP, 3: WarpOp.DROP})
-    assert WarpPlan.from_json(p.to_json()).ops == p.ops
-    assert WarpPlan.from_json(p.to_json()).seq_len == 6
-
-
 def test_warp_end_to_end_deterministic():
     ids = [A, B, C, D] * 5
     e1 = warp(ids, WarpConfig.wlm(), VOCAB, seed=123)
