@@ -11,9 +11,10 @@ One tool, subcommands for each stage:
     warplm experiment      --out runs/exp1
     warplm make-synthetic  --out data/
 
-Hyperparameters may come from a flat KEY=VALUE config file (--config);
-explicit flags override file values. Every command is deterministic given
---seed: running it twice writes byte-identical artifacts.
+pretrain, finetune and warp-preview accept only the settings they read
+(RUN_SETTINGS), as flags or as keys of a flat KEY=VALUE config file
+(--config); flags override file values. Every command is deterministic
+given --seed: running it twice writes byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .seeding import derive_seed
 
 @dataclass
 class RunConfig:
-    """Tunable knobs shared by pretrain/finetune; see --help for meanings."""
+    """Settings of pretrain, finetune and warp-preview; see --help for meanings."""
 
     objective: str = "wlm"
     epochs: int = 10
@@ -49,12 +50,21 @@ class RunConfig:
     freeze_encoder: bool = False
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+# The RunConfig fields each subcommand reads. Its flags, the config keys it
+# accepts and the fields its .runconfig.json records all come from this list.
+RUN_SETTINGS = {
+    "pretrain": ("objective", "epochs", "batch_size", "lr", "seed", "d_model",
+                 "n_layers", "n_heads", "d_ff", "max_len", "dropout", "p_select",
+                 "val_fraction"),
+    "finetune": ("epochs", "batch_size", "lr", "seed", "freeze_encoder"),
+    "warp-preview": ("objective", "p_select", "seed"),
+}
+_DEFAULTS = dataclasses.asdict(RunConfig())
 
 
 def parse_config_file(path) -> dict:
     """Flat KEY=VALUE lines; '#' starts a comment. Keys must be RunConfig
-    fields; values are coerced to the field's type."""
+    fields; values are coerced to the type of the field's default."""
     out = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -63,66 +73,50 @@ def parse_config_file(path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected KEY=VALUE, got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key not in _FIELD_TYPES:
+        if key not in _DEFAULTS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        ftype = _FIELD_TYPES[key]
-        if ftype in ("int", int):
-            out[key] = int(value)
-        elif ftype in ("float", float):
-            out[key] = float(value)
-        elif ftype in ("bool", bool):
+        ftype = type(_DEFAULTS[key])
+        if ftype is bool:
             if value.lower() not in ("true", "false", "1", "0"):
                 raise ValueError(f"{path}:{lineno}: bad bool {value!r}")
             out[key] = value.lower() in ("true", "1")
         else:
-            out[key] = value
+            out[key] = ftype(value)
     return out
 
 
 def resolve_run_config(args) -> RunConfig:
-    """defaults < config file < explicit flags."""
-    cfg = RunConfig()
-    file_vals = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    flag_vals = {
-        k: v for k, v in vars(args).items() if k in _FIELD_TYPES and v is not None
-    }
-    merged = {**file_vals, **flag_vals}
-    bad = [k for k in ("objective",) if merged.get(k) not in (None, "mlm", "wlm")]
-    if bad:
-        raise ValueError(f"objective must be mlm or wlm, got {merged['objective']!r}")
-    return dataclasses.replace(cfg, **merged)
+    """defaults < config file < explicit flags, for the settings that
+    args.command reads; a config key it does not read is an error."""
+    names = RUN_SETTINGS[args.command]
+    file_vals = parse_config_file(args.config) if args.config else {}
+    unused = [k for k in file_vals if k not in names]
+    if unused:
+        raise ValueError(f"{args.config}: config key {unused[0]!r} is not used by "
+                         f"{args.command}")
+    flag_vals = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+    rc = dataclasses.replace(RunConfig(), **{**file_vals, **flag_vals})
+    if rc.objective not in experiment.OBJECTIVES:
+        raise ValueError(f"objective must be mlm or wlm, got {rc.objective!r}")
+    return rc
 
 
-def _add_run_flags(p: argparse.ArgumentParser, model_dims: bool = True):
+def _add_run_flags(p: argparse.ArgumentParser, command: str):
     p.add_argument("--config", help="flat KEY=VALUE config file")
-    p.add_argument("--objective", choices=("mlm", "wlm"))
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--seed", type=int)
-    if model_dims:
-        p.add_argument("--d-model", dest="d_model", type=int)
-        p.add_argument("--n-layers", dest="n_layers", type=int)
-        p.add_argument("--n-heads", dest="n_heads", type=int)
-        p.add_argument("--d-ff", dest="d_ff", type=int)
-        p.add_argument("--max-len", dest="max_len", type=int)
-        p.add_argument("--dropout", type=float)
-        p.add_argument("--p-select", dest="p_select", type=float)
-
-
-def _warp_config(rc: RunConfig) -> warp.WarpConfig:
-    base = warp.WarpConfig.for_objective(rc.objective)
-    return dataclasses.replace(base, p_select=rc.p_select)
+    for name in RUN_SETTINGS[command]:
+        flag = "--" + name.replace("_", "-")
+        if isinstance(_DEFAULTS[name], bool):
+            p.add_argument(flag, dest=name, action="store_const", const=True)
+        else:
+            p.add_argument(flag, dest=name, type=type(_DEFAULTS[name]),
+                           choices=experiment.OBJECTIVES if name == "objective" else None)
 
 
 # ------------------------------------------------------------ subcommands
 
 def cmd_build_vocab(args) -> int:
     text = Path(args.corpus).read_text(encoding="utf-8")
-    vocab = textcore.build_vocab(
-        text, min_count=args.min_count, max_size=args.max_size,
-        lowercase=not args.no_lowercase,
-    )
+    vocab = textcore.build_vocab(text, min_count=args.min_count, max_size=args.max_size)
     textcore.save_vocab(vocab, args.out)
     print(f"wrote {args.out}: {len(vocab)} tokens ({vocab.n_words} words) "
           f"hash={vocab.content_hash[:12]}")
@@ -131,6 +125,8 @@ def cmd_build_vocab(args) -> int:
 
 def cmd_pretrain(args) -> int:
     rc = resolve_run_config(args)
+    if rc.epochs < 1:  # pretrain() accepts 0 and returns the initialized model
+        raise ValueError(f"epochs must be >= 1, got {rc.epochs}")
     vocab = textcore.load_vocab(args.vocab)
     corpus = textcore.load_corpus(args.corpus, vocab)
     if args.val_corpus:
@@ -152,14 +148,16 @@ def cmd_pretrain(args) -> int:
               f"val_ppl={row.val_perplexity:.3f} val_acc={row.val_accuracy:.3f}")
 
     model, history = pretrain_mod.pretrain(
-        train_sents, val_sents, vocab, model_cfg, _warp_config(rc),
+        train_sents, val_sents, vocab, model_cfg,
+        warp.WarpConfig.for_objective(rc.objective, rc.p_select),
         epochs=rc.epochs, batch_size=rc.batch_size, lr=rc.lr, seed=rc.seed,
         log=log_row,
     )
     textcore.write_jsonl(args.log or (args.out + ".log.jsonl"), history)
     save_encoder(args.out, model, vocab.content_hash,
                  extra={"objective": rc.objective})
-    textcore.write_json(args.out + ".runconfig.json", dataclasses.asdict(rc))
+    textcore.write_json(args.out + ".runconfig.json",
+                        {k: getattr(rc, k) for k in RUN_SETTINGS[args.command]})
     print(f"wrote {args.out} ({rc.objective}, {rc.epochs} epochs)")
     return 0
 
@@ -169,10 +167,10 @@ def cmd_warp_preview(args) -> int:
     vocab = textcore.load_vocab(args.vocab)
     text = args.sentence if args.sentence is not None else sys.stdin.read()
     ids = vocab.encode(text)
-    ids = [textcore.UNK_ID if i < textcore.N_SPECIALS else i for i in ids]
     if not ids:
         raise ValueError("empty sentence")
-    ex = warp.warp(ids, _warp_config(rc), vocab, rc.seed)
+    ex = warp.warp(ids, warp.WarpConfig.for_objective(rc.objective, rc.p_select),
+                   vocab, rc.seed)
     print(warp.render_example(ex, vocab))
     return 0
 
@@ -213,7 +211,8 @@ def cmd_finetune(args) -> int:
     )
     textcore.write_jsonl(args.log or (args.out + ".log.jsonl"), history)
     slu.save_slu(args.out, model, vocab.content_hash)
-    textcore.write_json(args.out + ".runconfig.json", dataclasses.asdict(rc))
+    textcore.write_json(args.out + ".runconfig.json",
+                        {k: getattr(rc, k) for k in RUN_SETTINGS[args.command]})
     best = slu.kept_epoch(history)
     print(f"wrote {args.out} (best val joint={best.joint_accuracy:.3f} "
           f"at epoch {best.epoch})")
@@ -277,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--min-count", type=int, default=1)
     p.add_argument("--max-size", type=int, default=50000)
-    p.add_argument("--no-lowercase", action="store_true")
     p.set_defaults(func=cmd_build_vocab)
 
     p = sub.add_parser("pretrain", help="pretrain an encoder with mlm or wlm warps")
@@ -286,13 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--log", help="epoch stats JSON-lines path")
-    _add_run_flags(p)
+    _add_run_flags(p, "pretrain")
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("warp-preview", help="show the warped form of a sentence")
     p.add_argument("sentence", nargs="?", help="text; stdin when omitted")
     p.add_argument("--vocab", required=True)
-    _add_run_flags(p, model_dims=True)
+    _add_run_flags(p, "warp-preview")
     p.set_defaults(func=cmd_warp_preview)
 
     p = sub.add_parser("corrupt", help="make a noisy copy of a tagged dataset")
@@ -314,9 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--log")
-    p.add_argument("--freeze-encoder", dest="freeze_encoder",
-                   action="store_const", const=True)
-    _add_run_flags(p, model_dims=False)
+    _add_run_flags(p, "finetune")
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("evaluate", help="evaluate an SLU checkpoint on a dataset")

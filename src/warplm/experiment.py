@@ -51,19 +51,22 @@ class ExperimentMatrix:
             raise ValueError("seeds must be non-empty and distinct")
 
 
-def permutation_test(xs, ys, max_exact: int = 20000, seed: int = 0) -> float:
+MAX_EXACT_SPLITS = 20000
+
+
+def permutation_test(xs, ys) -> float:
     """Two-sided permutation test on the difference of means.
 
-    Exact when the number of splits C(n+m, n) is small enough, otherwise
-    Monte Carlo with 10000 resamples. The observed split counts toward the
-    p-value, so p is never 0."""
+    Exact when the number of splits C(n+m, n) is at most MAX_EXACT_SPLITS,
+    otherwise Monte Carlo with 10000 resamples. The observed split counts
+    toward the p-value, so p is never 0."""
     xs, ys = list(map(float, xs)), list(map(float, ys))
     pool = np.array(xs + ys)
     n = len(xs)
     obs = abs(np.mean(xs) - np.mean(ys))
     total = math.comb(len(pool), n)
     tol = 1e-12  # treat FP-equal statistics as ties
-    if total <= max_exact:
+    if total <= MAX_EXACT_SPLITS:
         hits = 0
         for idx in itertools.combinations(range(len(pool)), n):
             sel = np.zeros(len(pool), bool)
@@ -71,7 +74,7 @@ def permutation_test(xs, ys, max_exact: int = 20000, seed: int = 0) -> float:
             stat = abs(pool[sel].mean() - pool[~sel].mean())
             hits += stat >= obs - tol
         return hits / total
-    rng = np.random.default_rng(derive_seed(seed, 0x9E))
+    rng = np.random.default_rng(derive_seed(0, 0x9E))
     hits = 1  # the observed labeling
     draws = 10000
     for _ in range(draws):
@@ -100,8 +103,7 @@ class ExperimentReport:
     meta: dict = field(default_factory=dict)
 
 
-def summarize(records: list[RunRecord], matrix: ExperimentMatrix, alpha: float = 0.05,
-              ddof: int = 1) -> ExperimentReport:
+def summarize(records: list[RunRecord], matrix: ExperimentMatrix) -> ExperimentReport:
     summary: dict = {}
     p_values: dict = {}
     by_key: dict = {}
@@ -114,7 +116,7 @@ def summarize(records: list[RunRecord], matrix: ExperimentMatrix, alpha: float =
             summary[setting][obj] = {
                 m: {
                     "mean": float(np.mean([getattr(r, m) for r in runs])),
-                    "std": float(np.std([getattr(r, m) for r in runs], ddof=ddof))
+                    "std": float(np.std([getattr(r, m) for r in runs], ddof=1))
                     if len(runs) > 1 else 0.0,
                 }
                 for m in METRICS
@@ -125,7 +127,7 @@ def summarize(records: list[RunRecord], matrix: ExperimentMatrix, alpha: float =
                 xs = [getattr(r, m) for r in by_key.get((setting, "wlm"), [])]
                 ys = [getattr(r, m) for r in by_key.get((setting, "mlm"), [])]
                 p_values[setting][m] = permutation_test(xs, ys)
-    return ExperimentReport(records, summary, p_values, alpha)
+    return ExperimentReport(records, summary, p_values)
 
 
 def render_table(report: ExperimentReport, matrix: ExperimentMatrix) -> str:
@@ -181,18 +183,16 @@ def run_experiment(
     n_corpus: int = 2000,
     pretrain_epochs: int = 8,
     finetune_epochs: int = 6,
-    model_cfg: ModelConfig | None = None,
     seed: int = 0,
     log=print,
 ) -> ExperimentReport:
-    """Generate data, pretrain one encoder per objective, fine-tune over the
-    matrix, evaluate, test significance, and write all artifacts under
-    out_dir. Everything is a pure function of the arguments."""
+    """Generate data, pretrain one desk encoder per objective, fine-tune
+    over the matrix, evaluate, test significance, and write all artifacts
+    under out_dir. Everything is a pure function of the arguments."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     vocab = synth_vocab()
-    if model_cfg is None:
-        model_cfg = ModelConfig.desk(len(vocab))
+    model_cfg = ModelConfig.desk(len(vocab))
     save_vocab(vocab, out / "vocab.txt")
 
     corpus_text = synth_corpus_text(n_corpus, derive_seed(seed, 1))

@@ -6,6 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 def _param_dict(model_or_params) -> dict[str, np.ndarray]:
     return getattr(model_or_params, "params", model_or_params)
@@ -14,21 +18,15 @@ def _param_dict(model_or_params) -> dict[str, np.ndarray]:
 @dataclass
 class AdamState:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
     v: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
 
-def init_adam(
-    model_or_params, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> AdamState:
+def init_adam(model_or_params, lr: float = 1e-3) -> AdamState:
     params = _param_dict(model_or_params)
     return AdamState(
-        lr=lr, beta1=beta1, beta2=beta2, eps=eps, t=0,
+        lr=lr, t=0,
         m={k: np.zeros_like(p) for k, p in params.items()},
         v={k: np.zeros_like(p) for k, p in params.items()},
     )
@@ -42,9 +40,8 @@ def step(model_or_params, grads: dict[str, np.ndarray], state: AdamState):
     """
     params = _param_dict(model_or_params)
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** state.t
-    c2 = 1.0 - b2 ** state.t
+    c1 = 1.0 - BETA1 ** state.t
+    c2 = 1.0 - BETA2 ** state.t
     for name, p in params.items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
@@ -52,9 +49,9 @@ def step(model_or_params, grads: dict[str, np.ndarray], state: AdamState):
                 f"divergence: non-finite gradient in {name} at step {state.t}"
             )
         m, v = state.m[name], state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
     return model_or_params

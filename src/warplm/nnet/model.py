@@ -7,6 +7,7 @@ with a separate output bias vector.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -27,17 +28,23 @@ class ModelConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
+        for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_len"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.dropout, bool) or not isinstance(self.dropout, numbers.Real):
+            raise ValueError(f"dropout must be a real number, got {self.dropout!r}")
         if self.vocab_size < 6:
             raise ValueError("vocab_size must cover the special tokens")
+        for name in ("d_model", "n_layers", "n_heads", "d_ff", "max_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout {self.dropout} outside [0, 1)")
-        for name in ("d_model", "n_layers", "n_heads", "d_ff", "max_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
 
     @property
     def d_head(self) -> int:

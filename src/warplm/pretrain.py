@@ -117,8 +117,13 @@ def pretrain(
     """Train from scratch; returns the final model and per-epoch stats.
 
     Batches that end up with zero predicted positions are skipped. The
-    [INS] embedding row is frozen throughout (see nnet.encoder).
+    [INS] embedding row is frozen throughout (see nnet.encoder). With
+    epochs=0 the model is returned as initialized.
     """
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if not train_sentences:
         raise ValueError("empty corpus")
     model = init_model(model_cfg, derive_seed(seed, _SEED_INIT))

@@ -33,6 +33,7 @@ OUTSIDE = "O"
 _SEED_HEAD_INIT = 21
 _SEED_SHUFFLE = 22
 _SEED_DROPOUT = 23
+_PREDICT_BATCH = 64
 
 
 @dataclass
@@ -166,14 +167,6 @@ class SLUModel:
         merged.update({"head." + k: v for k, v in self.head.items()})
         return merged
 
-    def copy(self) -> "SLUModel":
-        return SLUModel(
-            self.encoder.copy(),
-            list(self.intent_labels),
-            list(self.tag_labels),
-            {k: v.copy() for k, v in self.head.items()},
-        )
-
 
 def label_inventory(utts: list[TaggedUtterance]) -> tuple[list[str], list[str]]:
     intents = sorted({u.intent for u in utts})
@@ -262,13 +255,13 @@ def slu_loss_and_grads(model: SLUModel, utts, dropout_rng=None, freeze_encoder=F
 
 
 def slu_predict(
-    model: SLUModel, utts: list[TaggedUtterance], batch_size: int = 64
+    model: SLUModel, utts: list[TaggedUtterance]
 ) -> tuple[list[str], list[list[str]]]:
     """Argmax intents and per-token tag sequences (model's inventory)."""
     intents: list[str] = []
     tag_seqs: list[list[str]] = []
-    for lo in range(0, len(utts), batch_size):
-        chunk = utts[lo : lo + batch_size]
+    for lo in range(0, len(utts), _PREDICT_BATCH):
+        chunk = utts[lo : lo + _PREDICT_BATCH]
         ids, pad_mask, _, _, _ = encode_slu_batch(model, chunk)
         intent_logits, slot_logits, _ = slu_forward(model, ids, pad_mask)
         best_int = np.argmax(intent_logits, axis=-1)
@@ -383,6 +376,10 @@ def finetune(
     """Fine-tune a (copy of a) pretrained encoder with fresh heads.
 
     Keeps the parameters from `kept_epoch(history)`."""
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if not train_utts:
         raise ValueError("empty corpus")
     intents, tags = label_inventory(train_utts + val_utts)

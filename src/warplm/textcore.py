@@ -2,10 +2,11 @@
 JSON artifact writers.
 
 Ids 0..4 are reserved for the special tokens PAD, UNK, CLS, MASK, INS;
-corpus-derived tokens start at id 5. The vocab file format is one token
-per line (line number == id), so identical corpora always serialize to
-byte-identical files. JSON artifacts are written with sorted keys for the
-same reason.
+corpus-derived tokens start at id 5. All text is lowercased, and the
+special tokens are uppercase, so text never encodes to a special id other
+than UNK. The vocab file format is one token per line (line number == id),
+so identical corpora always serialize to byte-identical files. JSON
+artifacts are written with sorted keys for the same reason.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ class Vocab:
     """Bidirectional token<->id mapping with fixed special-token layout."""
 
     id_to_token: list[str]
-    lowercase: bool = True
     token_to_id: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -51,8 +51,7 @@ class Vocab:
 
     def normalize(self, sentence: str) -> str:
         """Canonical form used by the encode/decode round trip."""
-        s = " ".join(sentence.split())
-        return s.lower() if self.lowercase else s
+        return " ".join(sentence.split()).lower()
 
     def encode(self, sentence: str) -> list[int]:
         """Whitespace-split tokens to ids; out-of-vocabulary words map to UNK."""
@@ -78,38 +77,34 @@ class Vocab:
         return hashlib.sha256(payload).hexdigest()
 
 
-def build_vocab(corpus_text: str, min_count: int = 1, max_size: int = 50000,
-                lowercase: bool = True) -> Vocab:
+def build_vocab(corpus_text: str, min_count: int = 1, max_size: int = 50000) -> Vocab:
     """Build a vocab from line-delimited text.
 
-    Keeps up to (max_size - 5) most frequent whitespace tokens with
-    frequency >= min_count; ties break lexicographically, so the result is
-    deterministic for a given corpus.
+    Keeps up to (max_size - 5) most frequent lowercased whitespace tokens
+    with frequency >= min_count; ties break lexicographically, so the result
+    is deterministic for a given corpus.
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
     if max_size < N_SPECIALS:
         raise ValueError(f"max_size must be >= {N_SPECIALS}")
-    text = corpus_text.lower() if lowercase else corpus_text
-    counts = Counter(text.split())
-    for special in SPECIAL_TOKENS:
-        counts.pop(special, None)
+    counts = Counter(corpus_text.lower().split())
     if not counts:
         raise ValueError("empty corpus")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     kept = [tok for tok, c in ranked if c >= min_count][: max_size - N_SPECIALS]
-    return Vocab(list(SPECIAL_TOKENS) + kept, lowercase=lowercase)
+    return Vocab(list(SPECIAL_TOKENS) + kept)
 
 
 def save_vocab(vocab: Vocab, path: str | Path) -> None:
     Path(path).write_text("\n".join(vocab.id_to_token) + "\n", encoding="utf-8")
 
 
-def load_vocab(path: str | Path, lowercase: bool = True) -> Vocab:
+def load_vocab(path: str | Path) -> Vocab:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if len(lines) < N_SPECIALS:
         raise ValueError(f"vocab file too short: {path}")
-    return Vocab(lines, lowercase=lowercase)
+    return Vocab(lines)
 
 
 @dataclass
@@ -124,14 +119,12 @@ class Corpus:
 
 
 def corpus_from_text(text: str, vocab: Vocab, source_path: str = "<memory>") -> Corpus:
-    """Encode line-delimited text. Non-UNK special ids are remapped to UNK so
-    corpus sentences never contain PAD/CLS/MASK/INS."""
+    """Encode line-delimited text, skipping blank lines."""
     sentences = []
     for line in text.splitlines():
         ids = vocab.encode(line)
         if not ids:
             continue
-        ids = [UNK_ID if (i < N_SPECIALS and i != UNK_ID) else i for i in ids]
         sentences.append(ids)
     return Corpus(sentences, source_path)
 

@@ -11,10 +11,12 @@ from pathlib import Path
 
 import pytest
 
+import warplm.experiment
+
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
-def load_patches():
+def load_spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     mod = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = mod  # dataclasses look their module up here
@@ -22,10 +24,11 @@ def load_patches():
         spec.loader.exec_module(mod)
     finally:
         del sys.modules[spec.name]
-    return mod.PATCHES
+    return mod
 
 
-PATCHES = load_patches()
+SPANS_MOD = load_spans()
+PATCHES = SPANS_MOD.PATCHES
 
 
 @pytest.mark.parametrize("modname,attr", sorted({(m, a) for m, a, _, _ in PATCHES}))
@@ -43,3 +46,21 @@ def test_trace_target_resolves(modname, attr):
 def test_positionally_read_arguments(modname, attr, index, param):
     fn = getattr(importlib.import_module(modname), attr)
     assert list(inspect.signature(fn).parameters)[index] == param
+
+
+def test_traced_experiment_records_every_span(tmp_path):
+    # Called through the module attribute, as the benchmark does, so the
+    # wrapped run_experiment is the one that runs.
+    tracer = SPANS_MOD.Tracer()
+    with tracer.active():
+        warplm.experiment.run_experiment(
+            tmp_path, warplm.experiment.ExperimentMatrix(seeds=(0,)),
+            n_train=16, n_val=8, n_test=8, n_corpus=40,
+            pretrain_epochs=1, finetune_epochs=1, log=None,
+        )
+    recorded = {s.name for s in tracer.spans}
+    assert {name for _, _, name, _ in PATCHES} <= recorded
+    # a reader that raised would have stopped the run; each one read something
+    for _, _, name, reader in PATCHES:
+        if reader is not None:
+            assert any(s.attrs for s in tracer.spans if s.name == name), name

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from warplm.cli import main, parse_config_file, resolve_run_config, build_parser
+from warplm.cli import RunConfig, main, parse_config_file, resolve_run_config, build_parser
 from warplm.nnet import (
     ModelConfig, init_model, load_checkpoint, load_encoder, save_checkpoint, save_encoder,
 )
@@ -254,8 +255,10 @@ def _wrong_ffn_shape(header, params):
     ("encoder", lambda header, params: header.pop("vocab_hash")),
     ("encoder", _unknown_config_key),
     ("encoder", _wrong_ffn_shape),
+    ("encoder", lambda header, params: header["config"].update(d_model="x")),
+    ("encoder", lambda header, params: header["config"].update(d_model=8.0)),
 ], ids=["slu_without_heads", "slu_labels_not_a_list", "no_tok_emb", "no_vocab_hash", "unknown_config_key",
-        "wrong_ffn_shape"])
+        "wrong_ffn_shape", "string_dimension", "float_dimension"])
 def test_malformed_checkpoint_is_single_line_error(workspace, tmp_path, capsys, kind, mutate):
     data, vocab_path = workspace / "data", workspace / "data" / "vocab.txt"
     vocab = load_vocab(vocab_path)
@@ -284,3 +287,78 @@ def test_malformed_checkpoint_is_single_line_error(workspace, tmp_path, capsys, 
     assert code == 2
     assert err.startswith("error:") and err.strip().count("\n") == 0, err
     assert "malformed.ckpt" in err
+
+
+# ------------------------------------------- the settings each command reads
+
+USED_SETTINGS = {
+    "pretrain": {"objective", "epochs", "batch_size", "lr", "seed", "d_model", "n_layers",
+                 "n_heads", "d_ff", "max_len", "dropout", "p_select", "val_fraction"},
+    "finetune": {"epochs", "batch_size", "lr", "seed", "freeze_encoder"},
+    "warp-preview": {"objective", "p_select", "seed"},
+}
+# the 21 (subcommand, setting) pairs whose setting the subcommand does not read
+UNUSED_SETTINGS = [(command, f.name) for command, used in USED_SETTINGS.items()
+                   for f in dataclasses.fields(RunConfig) if f.name not in used]
+
+
+def command_argv(command, ws, out):
+    data = ws / "data"
+    if command == "pretrain":
+        return ["pretrain", "--corpus", str(data / "corpus.txt"), "--vocab",
+                str(data / "vocab.txt"), "--out", str(out), "--epochs", "1"]
+    if command == "finetune":
+        return ["finetune", "--checkpoint", str(ws / "enc.ckpt"),
+                "--train", str(data / "slu_train.tsv"), "--val", str(data / "slu_val.tsv"),
+                "--vocab", str(data / "vocab.txt"), "--out", str(out), "--epochs", "1"]
+    return ["warp-preview", "--vocab", str(data / "vocab.txt"), "book a flight"]
+
+
+@pytest.mark.parametrize("command, name", UNUSED_SETTINGS)
+def test_unused_setting_is_rejected(workspace, tmp_path, capsys, command, name):
+    argv = command_argv(command, workspace, tmp_path / "x.ckpt")
+    default = getattr(RunConfig(), name)
+    flag = ["--" + name.replace("_", "-")] + ([] if isinstance(default, bool) else [str(default)])
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flag)
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{name}={default}\n")
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.strip().count("\n") == 0, err
+    assert repr(name) in err and command in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_build_vocab_has_no_case_option(tmp_path, capsys):
+    (tmp_path / "c.txt").write_text("Book a flight to Boston\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["build-vocab", str(tmp_path / "c.txt"), "--out", str(tmp_path / "v.txt"),
+              "--no-lowercase"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "v.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_runconfig_records_exactly_the_settings_read(workspace, tmp_path, capsys, command):
+    out = tmp_path / "x.ckpt"
+    code, _, err = run(capsys, *command_argv(command, workspace, out))
+    assert code == 0, err
+    record = json.loads((tmp_path / "x.ckpt.runconfig.json").read_text())
+    assert set(record) == USED_SETTINGS[command]
+
+
+@pytest.mark.parametrize("command, name", [
+    ("pretrain", "epochs"), ("pretrain", "batch_size"),
+    ("finetune", "epochs"), ("finetune", "batch_size"),
+])
+def test_zero_epochs_or_batch_size_is_rejected_before_output(
+        workspace, tmp_path, capsys, command, name):
+    argv = command_argv(command, workspace, tmp_path / "x.ckpt")
+    code, out, err = run(capsys, *argv, "--" + name.replace("_", "-"), "0")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {name} must be >= 1") and err.strip().count("\n") == 0, err
+    assert list(tmp_path.iterdir()) == []

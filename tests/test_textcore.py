@@ -45,8 +45,6 @@ def test_build_vocab_empty_corpus():
 def test_special_literals_not_double_added():
     v = build_vocab("[pad] hello [unk]")  # lowercased literals are ordinary words
     assert "hello" in v.token_to_id
-    v2 = build_vocab("x [MASK] y", lowercase=False)
-    assert "[MASK]" not in v2.id_to_token[N_SPECIALS:]
 
 
 def test_encode_unknown_maps_to_unk():
