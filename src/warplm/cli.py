@@ -25,9 +25,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import asrsim, experiment, pretrain as pretrain_mod, slu, synth, textcore, warp
+from . import asrsim, experiment, pretrain as pretrain_mod, slu, textcore, warp
 from .nnet import ModelConfig, load_encoder, save_encoder
-from .seeding import derive_seed
 
 
 @dataclass
@@ -133,9 +132,8 @@ def cmd_pretrain(args) -> int:
         val_sents = textcore.load_corpus(args.val_corpus, vocab).sentences
         train_sents = corpus.sentences
     else:
-        n_val = max(1, int(len(corpus.sentences) * rc.val_fraction))
-        val_sents = corpus.sentences[:n_val]
-        train_sents = corpus.sentences[n_val:]
+        train_sents, val_sents = pretrain_mod.split_validation(corpus.sentences,
+                                                               rc.val_fraction)
     if not train_sents:
         raise ValueError("empty corpus")
     model_cfg = ModelConfig(
@@ -242,26 +240,17 @@ def cmd_experiment(args) -> int:
         args.out, matrix,
         n_train=args.n_train, n_val=args.n_val, n_test=args.n_test,
         n_corpus=args.n_corpus, pretrain_epochs=args.pretrain_epochs,
-        finetune_epochs=args.finetune_epochs, seed=args.seed or 0,
+        finetune_epochs=args.finetune_epochs, seed=args.seed,
     )
     print(f"wrote {args.out}/report.txt")
     return 0
 
 
 def cmd_make_synthetic(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    vocab = synth.synth_vocab()
-    textcore.save_vocab(vocab, out / "vocab.txt")
-    (out / "corpus.txt").write_text(
-        synth.synth_corpus_text(args.n_corpus, args.seed or 0), encoding="utf-8"
+    vocab, _, _ = experiment.write_synthetic_data(
+        args.out, args.n_corpus, args.n_train, args.n_val, args.n_test, args.seed
     )
-    train, val, test = synth.synth_slu_splits(
-        args.n_train, args.n_val, args.n_test, vocab, derive_seed(args.seed or 0, 2)
-    )
-    for name, utts in (("train", train), ("val", val), ("test", test)):
-        slu.save_slu_file(out / f"slu_{name}.tsv", utts, vocab)
-    print(f"wrote {out}: vocab={len(vocab)} corpus={args.n_corpus} "
+    print(f"wrote {Path(args.out)}: vocab={len(vocab)} corpus={args.n_corpus} "
           f"slu={args.n_train}/{args.n_val}/{args.n_test}")
     return 0
 
@@ -336,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("make-synthetic", help="write the synthetic corpus and SLU splits")
+    p = sub.add_parser("make-synthetic", help="write the experiment's synthetic data for a seed")
     p.add_argument("--out", required=True)
     p.add_argument("--n-corpus", dest="n_corpus", type=int, default=2000)
     p.add_argument("--n-train", dest="n_train", type=int, default=4478)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .asrsim import NoiseConfig, make_noisy_slu_set, save_noisy_slu_set
 from .nnet import EncoderModel, ModelConfig
-from .pretrain import pretrain
+from .pretrain import pretrain, split_validation
 from .seeding import derive_seed
 from .slu import evaluate_slu, finetune, save_slu_file
 from .synth import synth_corpus_text, synth_slu_splits, synth_vocab
@@ -174,6 +174,23 @@ def render_table(report: ExperimentReport, matrix: ExperimentMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_synthetic_data(out_dir, n_corpus: int, n_train: int, n_val: int, n_test: int,
+                         seed: int):
+    """Write the experiment's data for `seed` under out_dir: vocab.txt,
+    corpus.txt and slu_{train,val,test}.tsv. -> (vocab, corpus text,
+    (train, val, test))."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    vocab = synth_vocab()
+    save_vocab(vocab, out / "vocab.txt")
+    corpus_text = synth_corpus_text(n_corpus, derive_seed(seed, 1))
+    (out / "corpus.txt").write_text(corpus_text, encoding="utf-8")
+    splits = synth_slu_splits(n_train, n_val, n_test, vocab, derive_seed(seed, 2))
+    for name, utts in zip(("train", "val", "test"), splits):
+        save_slu_file(out / f"slu_{name}.tsv", utts, vocab)
+    return vocab, corpus_text, splits
+
+
 def run_experiment(
     out_dir,
     matrix: ExperimentMatrix = ExperimentMatrix(),
@@ -188,24 +205,20 @@ def run_experiment(
 ) -> ExperimentReport:
     """Generate data, pretrain one desk encoder per objective, fine-tune
     over the matrix, evaluate, test significance, and write all artifacts
-    under out_dir. Everything is a pure function of the arguments."""
+    under out_dir. Everything is a pure function of the arguments; invalid
+    sizes raise ValueError before anything is written."""
+    for name, value, least in (
+        ("n_train", n_train, 1), ("n_val", n_val, 1), ("n_test", n_test, 1),
+        ("n_corpus", n_corpus, 2),  # one validation and one training sentence
+        ("pretrain_epochs", pretrain_epochs, 0), ("finetune_epochs", finetune_epochs, 1),
+    ):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    vocab = synth_vocab()
+    vocab, corpus_text, (train, val, test) = write_synthetic_data(
+        out, n_corpus, n_train, n_val, n_test, seed)
     model_cfg = ModelConfig.desk(len(vocab))
-    save_vocab(vocab, out / "vocab.txt")
-
-    corpus_text = synth_corpus_text(n_corpus, derive_seed(seed, 1))
-    (out / "corpus.txt").write_text(corpus_text, encoding="utf-8")
-    corpus = corpus_from_text(corpus_text, vocab)
-    n_val_corpus = max(1, len(corpus.sentences) // 10)
-    train_sents = corpus.sentences[n_val_corpus:]
-    val_sents = corpus.sentences[:n_val_corpus]
-
-    train, val, test = synth_slu_splits(n_train, n_val, n_test, vocab, derive_seed(seed, 2))
-    save_slu_file(out / "slu_train.tsv", train, vocab)
-    save_slu_file(out / "slu_val.tsv", val, vocab)
-    save_slu_file(out / "slu_test.tsv", test, vocab)
+    train_sents, val_sents = split_validation(corpus_from_text(corpus_text, vocab).sentences, 0.1)
 
     noisy_sets = {}
     for name, utts, cfg_noise, tag in (
@@ -256,7 +269,7 @@ def run_experiment(
         "n_train": n_train, "n_val": n_val, "n_test": n_test,
         "n_corpus": n_corpus, "pretrain_epochs": pretrain_epochs,
         "finetune_epochs": finetune_epochs, "seed": seed,
-        "model": model_cfg.to_dict(),
+        "model": asdict(model_cfg),
     }
     write_jsonl(out / "results.jsonl",
                 sorted(records, key=lambda r: (r.setting, r.objective, r.seed)))

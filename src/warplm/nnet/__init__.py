@@ -13,7 +13,6 @@ from .encoder import (
     lm_logits,
     lm_loss,
     lm_loss_and_grads,
-    perplexity,
     softmax,
 )
 from .model import EncoderModel, ModelConfig, init_model, param_count, param_shapes
@@ -35,7 +34,6 @@ __all__ = [
     "load_encoder",
     "param_count",
     "param_shapes",
-    "perplexity",
     "save_checkpoint",
     "save_encoder",
     "softmax",

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -105,7 +106,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
 def save_encoder(path, model: EncoderModel, vocab_hash: str, extra: dict | None = None):
     header = {
         "kind": "encoder",
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "vocab_hash": vocab_hash,
     }
     if extra:
@@ -133,7 +134,7 @@ def load_model_checkpoint(path, kinds: tuple[str, ...], expect_vocab_hash: str |
             f"current vocab {expect_vocab_hash[:12]}...)"
         )
     try:
-        config = ModelConfig.from_dict(header["config"])
+        config = ModelConfig(**header["config"])
     except (TypeError, ValueError) as e:
         raise ValueError(f"{path}: bad model config: {e}") from None
     expected = param_shapes(config)

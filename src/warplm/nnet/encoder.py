@@ -7,15 +7,15 @@ the test suite; keep forward and backward in lockstep when editing.
 Activations, logits and gradients keep the parameter dtype: float32 models
 compute in float32 and float64 models (the gradient checks) in float64.
 
-The LM head computes logits only at predicted positions: the predicted rows
-of the hidden state are gathered *before* the tied output projection, so a
-step costs `[N_pred, V]` logits rather than `[B, T, V]`, and most positions
-predict nothing. `lm_loss` still accepts logits of any leading shape.
+Every head computes logits only at the rows it scores: the LM head gathers
+the predicted rows of the hidden state *before* the tied output projection,
+so a step costs `[N_pred, V]` logits rather than `[B, T, V]`, and most
+positions predict nothing. `_ce` is the one cross-entropy kernel, over rows.
 
-`freeze_ins` zeroes the gradient row of the [INS] embedding from both the
-input-embedding path and the tied output projection, so that row never moves
-during training (Adam with an exactly-zero gradient leaves the weight
-bit-identical).
+`freeze_ins` zeroes the gradient row of the [INS] embedding after the
+input-embedding path and the tied output projection are summed (in
+`encoder_backward`), so that row never moves during training (Adam with an
+exactly-zero gradient leaves the weight bit-identical).
 """
 
 from __future__ import annotations
@@ -167,12 +167,13 @@ def encoder_backward(
     cache: dict,
     d_hidden: np.ndarray,
     freeze_ins: bool = True,
+    d_tok_emb: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss w.r.t. every encoder parameter.
 
-    d_hidden is dLoss/d(hidden) from whatever head sits on top. Does not
-    include out_bias or the tied-head contribution to tok_emb; lm_backward
-    adds those for the LM path.
+    d_hidden is dLoss/d(hidden) from whatever head sits on top. d_tok_emb is
+    the tied head's gradient for tok_emb, added after the input-embedding
+    scatter; out_bias is left to the head (lm_backward on the LM path).
     """
     cfg, P = model.config, model.params
     ids, mask = cache["ids"], cache["mask"]
@@ -228,7 +229,8 @@ def encoder_backward(
     de = dh if cache["emb_drop"] is None else dh * cache["emb_drop"]
     grads["pos_emb"][:T] += de.sum(axis=0)
     np.add.at(grads["tok_emb"], ids.reshape(-1), de.reshape(-1, D))
-
+    if d_tok_emb is not None:
+        grads["tok_emb"] += d_tok_emb
     if freeze_ins:
         grads["tok_emb"][INS_ID] = 0.0
     return grads
@@ -239,38 +241,31 @@ def lm_logits(model: EncoderModel, hidden: np.ndarray) -> np.ndarray:
     return hidden @ model.params["tok_emb"].T + model.params["out_bias"]
 
 
-def _masked_ce(logits, label_ids, predict_mask):
-    """Mean cross-entropy and accuracy over the rows of `logits` [..., C]
-    selected by `predict_mask` [...], plus dLoss/dlogits (zero at unselected
-    rows). Labels at unselected rows are ignored and may be out of range.
-    Returns (loss, accuracy, n_selected, d_logits); raises if the mask
-    selects nothing."""
-    pm = np.asarray(predict_mask, dtype=bool)
-    n_pred = int(pm.sum())
-    if n_pred == 0:
+def _ce(logits, label_ids):
+    """Mean cross-entropy and accuracy over the rows of `logits` [N, C]
+    against `label_ids` [N], plus dLoss/dlogits. Returns (loss, accuracy,
+    d_logits); raises if there are no rows."""
+    n = len(logits)
+    if n == 0:
         raise ValueError("no predictions in batch")
+    rows = np.arange(n)
     z = logits - np.max(logits, axis=-1, keepdims=True)
     e = np.exp(z)
     sum_e = np.sum(e, axis=-1, keepdims=True)
-    safe = np.where(pm, np.asarray(label_ids), 0)[..., None]
-    picked = (np.take_along_axis(z, safe, axis=-1) - np.log(sum_e))[..., 0]
-    loss = -float(np.sum(picked, where=pm) / n_pred)
-    acc = float(np.sum((np.argmax(logits, axis=-1) == safe[..., 0]) & pm) / n_pred)
-
+    loss = -float(np.sum(z[rows, label_ids] - np.log(sum_e[:, 0])) / n)
+    acc = float(np.sum(np.argmax(logits, axis=-1) == label_ids) / n)
     d = e / sum_e
-    np.put_along_axis(d, safe, np.take_along_axis(d, safe, axis=-1) - 1.0, axis=-1)
-    d *= (pm[..., None] / n_pred).astype(d.dtype)
-    return loss, acc, n_pred, d
+    d[rows, label_ids] -= 1.0
+    d *= 1.0 / n
+    return loss, acc, d
 
 
 def lm_loss(logits, label_ids, predict_mask):
-    """(mean NLL over predicted positions, accuracy, n_predicted)."""
-    loss, acc, n_pred, _ = _masked_ce(logits, label_ids, predict_mask)
-    return loss, acc, n_pred
-
-
-def perplexity(mean_nll: float) -> float:
-    return float(np.exp(mean_nll))
+    """(mean NLL over predicted positions, accuracy, n_predicted), scoring
+    the rows of `logits` [..., V] that `predict_mask` [...] selects."""
+    pm = np.asarray(predict_mask, dtype=bool)
+    loss, acc, _ = _ce(logits[pm], np.asarray(label_ids)[pm])
+    return loss, acc, int(pm.sum())
 
 
 def lm_backward(
@@ -290,11 +285,9 @@ def lm_backward(
     hidden = cache["hidden"]
     d_hidden = np.zeros_like(hidden)
     d_hidden[pm] = d_logits @ model.params["tok_emb"]
-    grads = encoder_backward(model, cache, d_hidden, freeze_ins=False)
+    grads = encoder_backward(model, cache, d_hidden, freeze_ins,
+                             d_tok_emb=d_logits.T @ hidden[pm])
     grads["out_bias"] += d_logits.sum(axis=0)
-    grads["tok_emb"] += d_logits.T @ hidden[pm]
-    if freeze_ins:
-        grads["tok_emb"][INS_ID] = 0.0
     return grads
 
 
@@ -315,8 +308,6 @@ def lm_loss_and_grads(
         raise ValueError(f"predict_mask shape {pm.shape} != input_ids shape {np.shape(input_ids)}")
     hidden, cache = forward(model, input_ids, pad_mask, dropout_rng)
     logits = lm_logits(model, hidden[pm])
-    loss, acc, n_pred, d_logits = _masked_ce(
-        logits, np.asarray(label_ids)[pm], np.ones(len(logits), dtype=bool)
-    )
+    loss, acc, d_logits = _ce(logits, np.asarray(label_ids)[pm])
     grads = lm_backward(model, cache, d_logits, pm, freeze_ins=freeze_ins)
-    return loss, acc, n_pred, grads
+    return loss, acc, len(logits), grads

@@ -8,7 +8,7 @@ with a separate output bias vector.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,13 +63,6 @@ class ModelConfig:
         kw = dict(d_model=512, n_layers=12, n_heads=16, d_ff=2048, max_len=512)
         kw.update(overrides)
         return cls(vocab_size=vocab_size, **kw)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:

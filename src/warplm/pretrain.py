@@ -56,6 +56,13 @@ def pad_batch(examples: list[WarpedExample], max_len: int):
     return ids, pad_mask, labels, pred_mask
 
 
+def split_validation(sentences: list, val_fraction: float) -> tuple[list, list]:
+    """-> (train, val): the first max(1, int(n * val_fraction)) sentences
+    are held out for validation."""
+    n_val = max(1, int(len(sentences) * val_fraction))
+    return sentences[n_val:], sentences[:n_val]
+
+
 def _warp_corpus(sentences, warp_cfg, vocab, base_seed, tag):
     return [
         warp(s, warp_cfg, vocab, derive_seed(base_seed, tag, i))

@@ -14,16 +14,15 @@ line):
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .nnet import EncoderModel, encoder_backward, forward, init_adam, save_checkpoint, step
 from .nnet.checkpoint import load_model_checkpoint
-from .nnet.encoder import _masked_ce
+from .nnet.encoder import _ce
 from .nnet.model import head_shapes
 from .seeding import derive_seed
 from .textcore import CLS_ID, PAD_ID, Vocab
@@ -228,25 +227,29 @@ def slu_forward(
 
 
 def slu_loss_and_grads(model: SLUModel, utts, dropout_rng=None, freeze_encoder=False):
-    """Joint loss and gradients over encoder+head params (merged dict)."""
+    """Joint loss and gradients over encoder+head params (merged dict).
+
+    Each head scores only its rows: the intent head the CLS position, the
+    slot head the positions whose tag is in the model's inventory."""
     ids, pad_mask, intent_ids, tag_ids, tag_mask = encode_slu_batch(model, utts)
     if (intent_ids < 0).any():
         bad = [u.intent for u in utts if u.intent not in model.intent_to_id]
         raise ValueError(f"intent label not in model inventory: {bad[0]!r}")
-    intent_logits, slot_logits, cache = slu_forward(model, ids, pad_mask, dropout_rng)
-
-    i_loss, _, _, d_int = _masked_ce(intent_logits, intent_ids, np.ones(len(utts), bool))
-    s_loss, _, _, d_slot = _masked_ce(slot_logits, tag_ids, tag_mask)
+    hidden, cache = forward(model.encoder, ids, pad_mask, dropout_rng)
+    h_cls, h_tag = hidden[:, 0], hidden[tag_mask]
+    H = model.head
+    i_loss, _, d_int = _ce(h_cls @ H["intent_w"] + H["intent_b"], intent_ids)
+    s_loss, _, d_slot = _ce(h_tag @ H["slot_w"] + H["slot_b"], tag_ids[tag_mask])
     loss = i_loss + s_loss
 
-    hidden = cache["hidden"]
-    d_hidden = d_slot @ model.head["slot_w"].T
-    d_hidden[:, 0, :] += d_int @ model.head["intent_w"].T
+    d_hidden = np.zeros_like(hidden)
+    d_hidden[tag_mask] = d_slot @ H["slot_w"].T
+    d_hidden[:, 0] += d_int @ H["intent_w"].T
     head_grads = {
-        "intent_w": hidden[:, 0, :].T @ d_int,
+        "intent_w": h_cls.T @ d_int,
         "intent_b": d_int.sum(axis=0),
-        "slot_w": np.tensordot(hidden, d_slot, axes=([0, 1], [0, 1])),
-        "slot_b": d_slot.sum(axis=(0, 1)),
+        "slot_w": h_tag.T @ d_slot,
+        "slot_b": d_slot.sum(axis=0),
     }
     grads = {"head." + k: v for k, v in head_grads.items()}
     if not freeze_encoder:
@@ -391,7 +394,6 @@ def finetune(
     )
     adam = init_adam(trainable, lr=lr)
     history: list[FinetuneEpoch] = []
-    snap = None
     for epoch in range(1, epochs + 1):
         order = np.random.default_rng(
             derive_seed(seed, _SEED_SHUFFLE, epoch)
@@ -405,7 +407,7 @@ def finetune(
             )
             if not math.isfinite(loss):
                 raise FloatingPointError(f"divergence: loss {loss} at epoch {epoch}")
-            step(trainable, {k: grads[k] for k in trainable}, adam)
+            step(trainable, grads, adam)
             loss_sum += loss
             n_batches += 1
         m = evaluate_slu(model, val_utts)
@@ -417,12 +419,9 @@ def finetune(
         if log is not None:
             log(row)
         if kept_epoch(history) is row:
-            snap = copy.deepcopy(model.all_params())
-    if snap is not None:
-        for k, v in model.encoder.params.items():
-            np.copyto(v, snap[k])
-        for k, v in model.head.items():
-            np.copyto(v, snap["head." + k])
+            snap = {k: v.copy() for k, v in trainable.items()}
+    for k, v in trainable.items():
+        np.copyto(v, snap[k])
     return model, history
 
 
@@ -431,7 +430,7 @@ def finetune(
 def save_slu(path, model: SLUModel, vocab_hash: str) -> None:
     header = {
         "kind": "slu",
-        "config": model.encoder.config.to_dict(),
+        "config": asdict(model.encoder.config),
         "vocab_hash": vocab_hash,
         "intent_labels": model.intent_labels,
         "tag_labels": model.tag_labels,

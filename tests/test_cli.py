@@ -195,6 +195,37 @@ def test_experiment_micro_cmd(tmp_path, capsys):
     assert "report.txt" in out
 
 
+EXPERIMENT_SIZES = ["--n-train", "20", "--n-val", "8", "--n-test", "10", "--n-corpus", "60"]
+
+
+def test_make_synthetic_writes_the_experiments_data(tmp_path, capsys):
+    assert run(capsys, "make-synthetic", "--out", str(tmp_path / "syn"), "--seed", "4",
+               *EXPERIMENT_SIZES)[0] == 0
+    assert run(capsys, "experiment", "--out", str(tmp_path / "exp"), "--seed", "4",
+               "--settings", "clean-clean", "--n-seeds", "1", "--pretrain-epochs", "0",
+               "--finetune-epochs", "1", *EXPERIMENT_SIZES)[0] == 0
+    names = ["vocab.txt", "corpus.txt", "slu_train.tsv", "slu_val.tsv", "slu_test.tsv"]
+    assert sorted(p.name for p in (tmp_path / "syn").iterdir()) == sorted(names)
+    for name in names:
+        syn, exp = (tmp_path / d / name for d in ("syn", "exp"))
+        assert syn.read_bytes() == exp.read_bytes(), name
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--finetune-epochs", "0"), ("--pretrain-epochs", "-1"), ("--n-train", "0"),
+    ("--n-val", "0"), ("--n-test", "0"), ("--n-corpus", "1"),
+])
+def test_experiment_rejects_invalid_sizes_before_output(tmp_path, capsys, flag, value):
+    out = tmp_path / "exp"
+    code, stdout, err = run(capsys, "experiment", "--out", str(out), "--n-seeds", "1",
+                            "--pretrain-epochs", "1", "--finetune-epochs", "1",
+                            *EXPERIMENT_SIZES, flag, value)
+    name = flag[2:].replace("-", "_")
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"error: {name} must be >= ") and err.strip().count("\n") == 0, err
+    assert not out.exists()
+
+
 # -------------------------------------------------- OOV words and bad input
 
 def test_warp_preview_accepts_oov_word(workspace, capsys):

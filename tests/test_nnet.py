@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -18,13 +19,12 @@ from warplm.nnet import (
     load_encoder,
     param_count,
     param_shapes,
-    perplexity,
     save_checkpoint,
     save_encoder,
     softmax,
     step,
 )
-from warplm.nnet.encoder import LN_EPS, _gelu, _gelu_grad, _layer_norm, _masked_ce
+from warplm.nnet.encoder import LN_EPS, _gelu, _gelu_grad, _layer_norm, _ce
 from warplm.textcore import INS_ID
 
 TINY = ModelConfig(vocab_size=17, d_model=8, n_layers=2, n_heads=2, d_ff=12,
@@ -153,7 +153,7 @@ def test_dropout_off_is_deterministic_and_on_changes_activations():
     h2, _ = forward(model, ids, pad)
     np.testing.assert_array_equal(h1, h2)
     droppy = EncoderModel(
-        ModelConfig(**{**TINY.to_dict(), "dropout": 0.5}), model.params
+        ModelConfig(**{**asdict(TINY), "dropout": 0.5}), model.params
     )
     h3, _ = forward(droppy, ids, pad, dropout_rng=np.random.default_rng(0))
     assert not np.array_equal(h1, h3)
@@ -171,19 +171,17 @@ def test_masked_ce_hand_value():
     expected = math.log(math.exp(1) + math.exp(2) + math.exp(3)) - 3.0
     assert abs(loss - expected) < 1e-12
     assert acc == 1.0 and n == 1
-    assert abs(perplexity(loss) - math.exp(expected)) < 1e-12
 
 
 def test_masked_ce_gradient_rows():
-    logits = np.array([[[1.0, 2.0, 3.0], [0.5, 0.5, 0.5]]])
-    labels = np.array([[0, 1]])
-    pm = np.array([[True, False]])
-    loss, acc, n, d = _masked_ce(logits, labels, pm)
-    # unmasked row gets zero gradient; masked row sums to zero
-    np.testing.assert_array_equal(d[0, 1], 0.0)
-    assert abs(d[0, 0].sum()) < 1e-12
-    p0 = softmax(logits[0, 0])
-    np.testing.assert_allclose(d[0, 0], p0 - np.array([1.0, 0, 0]), atol=1e-12)
+    logits = np.array([[1.0, 2.0, 3.0], [0.5, 0.5, 0.5]])
+    labels = np.array([0, 1])
+    loss, acc, d = _ce(logits, labels)
+    # each row's gradient is (softmax - one-hot) / n_rows and sums to zero
+    for i in range(2):
+        assert abs(d[i].sum()) < 1e-12
+        expected = (softmax(logits[i]) - np.eye(3)[labels[i]]) / 2
+        np.testing.assert_allclose(d[i], expected, atol=1e-12)
     assert acc == 0.0
 
 
@@ -271,7 +269,7 @@ def full_logits_reference(model, ids, pad, labels, pm, dropout_rng=None, freeze_
 @pytest.mark.parametrize("dropout", [0.0, 0.3])
 def test_gather_first_head_matches_full_logits_reference(freeze_ins, dropout):
     model = EncoderModel(
-        ModelConfig(**{**TINY.to_dict(), "dropout": dropout}), tiny_model().params
+        ModelConfig(**{**asdict(TINY), "dropout": dropout}), tiny_model().params
     )
     ids, pad, labels, pm = tiny_batch()
     ids[1, 2] = INS_ID

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from warplm.nnet import ModelConfig, init_model
+from warplm.nnet import ModelConfig, encoder_backward, forward, init_model
 from warplm.slu import (
     OUTSIDE,
     SLUModel,
@@ -298,6 +298,67 @@ def test_slu_grads_match_finite_differences():
             fd = (lp - lm) / (2 * eps)
             an = grads[name].reshape(-1)[j]
             assert abs(fd - an) / max(1e-4, abs(fd) + abs(an)) < 1e-3, name
+
+
+def full_shape_slu_reference(model, utts, dropout_rng=None, freeze_encoder=False):
+    """The SLU heads as written without gathering: [B,L,S] slot logits, a
+    masked cross-entropy over them, and the backward from the full d_slot."""
+    ids, pad, intent_ids, tag_ids, tag_mask = encode_slu_batch(model, utts)
+    H = model.head
+    hidden, cache = forward(model.encoder, ids, pad, dropout_rng)
+
+    def masked_ce(logits, labels, mask):
+        z = logits - logits.max(axis=-1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        n = int(mask.sum())
+        at = np.nonzero(mask) + (labels[mask],)
+        d = np.exp(logp)
+        d[at] -= 1.0
+        d *= mask[..., None] / n
+        return -float(logp[at].sum() / n), d
+
+    i_loss, d_int = masked_ce(hidden[:, 0] @ H["intent_w"] + H["intent_b"], intent_ids,
+                              np.ones(len(utts), bool))
+    s_loss, d_slot = masked_ce(hidden @ H["slot_w"] + H["slot_b"], tag_ids, tag_mask)
+    d_hidden = d_slot @ H["slot_w"].T
+    d_hidden[:, 0] += d_int @ H["intent_w"].T
+    grads = {
+        "head.intent_w": hidden[:, 0].T @ d_int,
+        "head.intent_b": d_int.sum(axis=0),
+        "head.slot_w": np.tensordot(hidden, d_slot, axes=([0, 1], [0, 1])),
+        "head.slot_b": d_slot.sum(axis=(0, 1)),
+    }
+    if not freeze_encoder:
+        grads.update(encoder_backward(model.encoder, cache, d_hidden, freeze_ins=True))
+    return i_loss + s_loss, grads
+
+
+@pytest.mark.parametrize("freeze_encoder", [False, True])
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_gathered_slu_heads_match_full_shape_reference(freeze_encoder, dropout):
+    utts = synth_slu_utterances(5, VOCAB, seed=12)
+    intents, tags = label_inventory(utts)
+    dropped = next(t for t in tags if t != OUTSIDE)  # a tag the model cannot score
+    enc = init_model(
+        ModelConfig(vocab_size=len(VOCAB), d_model=16, n_layers=1, n_heads=2,
+                    d_ff=24, max_len=32, dropout=dropout),
+        seed=2,
+    ).astype(np.float64)
+    model = init_slu_model(enc, intents, [t for t in tags if t != dropped], seed=1)
+    for k in model.head:
+        model.head[k] = model.head[k].astype(np.float64)
+    rng = (lambda: np.random.default_rng(9)) if dropout else (lambda: None)
+    loss, grads = slu_loss_and_grads(model, utts, dropout_rng=rng(),
+                                     freeze_encoder=freeze_encoder)
+    r_loss, r_grads = full_shape_slu_reference(model, utts, dropout_rng=rng(),
+                                               freeze_encoder=freeze_encoder)
+    _, pad, _, _, tag_mask = encode_slu_batch(model, utts)
+    assert (pad[:, 1:] & ~tag_mask[:, 1:]).any()  # an unscored token inside an utterance
+    assert abs(loss - r_loss) < 1e-12
+    assert set(grads) == set(r_grads)
+    for name in grads:
+        np.testing.assert_allclose(grads[name], r_grads[name], rtol=0, atol=1e-12,
+                                   err_msg=name)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
