@@ -8,7 +8,9 @@ Settings name the (fine-tune data, test data) pairing:
 For each setting, both pretraining objectives (masked-only "mlm" vs the
 full warp op set "wlm") are fine-tuned over several seeds; per-metric means
 and standard deviations are reported with an exact two-sided permutation
-test between the two objectives.
+test between the two objectives. Settings with the same fine-tune data
+share their fine-tuned models: clean-clean and clean-noisy score one model
+per (objective, seed) on the two test sets.
 """
 
 from __future__ import annotations
@@ -47,8 +49,10 @@ class ExperimentMatrix:
         for o in self.objectives:
             if o not in OBJECTIVES:
                 raise ValueError(f"unknown objective {o!r}")
-        if len(set(self.seeds)) != len(self.seeds) or not self.seeds:
-            raise ValueError("seeds must be non-empty and distinct")
+        for name in ("settings", "objectives", "seeds"):
+            axis = getattr(self, name)
+            if len(set(axis)) != len(axis) or not axis:
+                raise ValueError(f"{name} must be non-empty and distinct, got {axis}")
 
 
 MAX_EXACT_SPLITS = 20000
@@ -174,11 +178,23 @@ def render_table(report: ExperimentReport, matrix: ExperimentMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _require_at_least(*checks):
+    """Raise ValueError for the first (name, value, least) with value < least."""
+    for name, value, least in checks:
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def write_synthetic_data(out_dir, n_corpus: int, n_train: int, n_val: int, n_test: int,
                          seed: int):
     """Write the experiment's data for `seed` under out_dir: vocab.txt,
     corpus.txt and slu_{train,val,test}.tsv. -> (vocab, corpus text,
-    (train, val, test))."""
+    (train, val, test)). Invalid sizes raise ValueError before anything
+    is written."""
+    _require_at_least(
+        ("n_train", n_train, 1), ("n_val", n_val, 1), ("n_test", n_test, 1),
+        ("n_corpus", n_corpus, 2),  # one validation and one training sentence
+    )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     vocab = synth_vocab()
@@ -207,13 +223,8 @@ def run_experiment(
     over the matrix, evaluate, test significance, and write all artifacts
     under out_dir. Everything is a pure function of the arguments; invalid
     sizes raise ValueError before anything is written."""
-    for name, value, least in (
-        ("n_train", n_train, 1), ("n_val", n_val, 1), ("n_test", n_test, 1),
-        ("n_corpus", n_corpus, 2),  # one validation and one training sentence
-        ("pretrain_epochs", pretrain_epochs, 0), ("finetune_epochs", finetune_epochs, 1),
-    ):
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
+    _require_at_least(("pretrain_epochs", pretrain_epochs, 0),
+                      ("finetune_epochs", finetune_epochs, 1))
     out = Path(out_dir)
     vocab, corpus_text, (train, val, test) = write_synthetic_data(
         out, n_corpus, n_train, n_val, n_test, seed)
@@ -244,25 +255,33 @@ def run_experiment(
         encoders[obj] = model
         write_jsonl(out / f"pretrain_{obj}.jsonl", history)
 
+    # One fine-tune per (training set, objective, seed), scored on the test
+    # set of every setting that trains on that set.
+    train_sets = {"clean": (train, val), "noisy": (noisy_sets["train"], noisy_sets["val"])}
+    test_sets = {"clean": test, "noisy": noisy_sets["test"]}
+    scores = {}  # (setting, objective, seed) -> SLUMetrics
+    for kind, (ft_train, ft_val) in train_sets.items():
+        group = [st for st in matrix.settings if st.startswith(kind)]
+        if not group:
+            continue
+        for obj, s in itertools.product(matrix.objectives, matrix.seeds):
+            model, _ = finetune(
+                encoders[obj], ft_train, ft_val,
+                epochs=finetune_epochs, batch_size=16, lr=5e-4,
+                seed=derive_seed(seed, 7, s),
+            )
+            for setting in group:
+                scores[setting, obj, s] = evaluate_slu(model, test_sets[setting.split("-")[1]])
+            del model  # one fine-tuned model alive at a time
+
     records: list[RunRecord] = []
-    for setting in matrix.settings:
-        ft_train = train if setting.startswith("clean") else noisy_sets["train"]
-        ft_val = val if setting.startswith("clean") else noisy_sets["val"]
-        ev_test = test if setting.endswith("clean") else noisy_sets["test"]
-        for obj in matrix.objectives:
-            for s in matrix.seeds:
-                model, _ = finetune(
-                    encoders[obj], ft_train, ft_val,
-                    epochs=finetune_epochs, batch_size=16, lr=5e-4,
-                    seed=derive_seed(seed, 7, s),
-                )
-                m = evaluate_slu(model, ev_test)
-                rec = RunRecord(obj, setting, s, m.intent_accuracy, m.slot_f1,
-                                m.joint_accuracy)
-                records.append(rec)
-                if log:
-                    log(f"{setting} {obj} seed={s} intent={m.intent_accuracy:.3f} "
-                        f"slot_f1={m.slot_f1:.3f} joint={m.joint_accuracy:.3f}")
+    for setting, obj, s in itertools.product(matrix.settings, matrix.objectives, matrix.seeds):
+        m = scores[setting, obj, s]
+        records.append(RunRecord(obj, setting, s, m.intent_accuracy, m.slot_f1,
+                                 m.joint_accuracy))
+        if log:
+            log(f"{setting} {obj} seed={s} intent={m.intent_accuracy:.3f} "
+                f"slot_f1={m.slot_f1:.3f} joint={m.joint_accuracy:.3f}")
 
     report = summarize(records, matrix)
     report.meta = {

@@ -36,12 +36,15 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def _gelu(u: np.ndarray) -> np.ndarray:
-    return 0.5 * u * (1.0 + erf(u * _INV_SQRT2))
+def _gelu(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(gelu(u), phi2) with phi2 = 1 + erf(u/sqrt2), which the backward
+    pass reuses: erf is the costliest op of the layer."""
+    phi2 = 1.0 + erf(u * _INV_SQRT2)
+    return 0.5 * u * phi2, phi2
 
 
-def _gelu_grad(u: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(u * _INV_SQRT2)) + u * np.exp(-0.5 * u * u) * _INV_SQRT2PI
+def _gelu_grad(u: np.ndarray, phi2: np.ndarray) -> np.ndarray:
+    return 0.5 * phi2 + u * np.exp(-0.5 * u * u) * _INV_SQRT2PI
 
 
 def _layer_norm(x, g, b):
@@ -140,7 +143,7 @@ def forward(
 
         x2, ln2c = _layer_norm(h, P[p + "ln2.g"], P[p + "ln2.b"])
         u = x2 @ P[p + "ffn.w1"] + P[p + "ffn.b1"]
-        a = _gelu(u)
+        a, phi2 = _gelu(u)
         f = a @ P[p + "ffn.w2"] + P[p + "ffn.b2"]
         ffn_drop = _dropout_mask(dropout_rng, f.shape, cfg.dropout, dtype)
         if ffn_drop is not None:
@@ -150,7 +153,7 @@ def forward(
         layers.append(
             dict(
                 x1=x1, ln1c=ln1c, q=q, k=k, v=v, probs=probs, ctx=ctx,
-                attn_drop=attn_drop, x2=x2, ln2c=ln2c, u=u, a=a, ffn_drop=ffn_drop,
+                attn_drop=attn_drop, x2=x2, ln2c=ln2c, u=u, phi2=phi2, ffn_drop=ffn_drop,
             )
         )
 
@@ -192,9 +195,12 @@ def encoder_backward(
         # h_out = h_mid + drop(ffn(LN2(h_mid)))
         df = dh if c["ffn_drop"] is None else dh * c["ffn_drop"]
         grads[p + "ffn.b2"] += df.sum(axis=(0, 1))
-        grads[p + "ffn.w2"] += np.tensordot(c["a"], df, axes=([0, 1], [0, 1]))
+        # a = gelu(u), recomputed rather than cached so the cache holds no
+        # more [B,T,F] arrays; these are the forward's own ops, so same bits
+        a = 0.5 * c["u"] * c["phi2"]
+        grads[p + "ffn.w2"] += np.tensordot(a, df, axes=([0, 1], [0, 1]))
         da = df @ P[p + "ffn.w2"].T
-        du = da * _gelu_grad(c["u"])
+        du = da * _gelu_grad(c["u"], c["phi2"])
         grads[p + "ffn.b1"] += du.sum(axis=(0, 1))
         grads[p + "ffn.w1"] += np.tensordot(c["x2"], du, axes=([0, 1], [0, 1]))
         dx2 = du @ P[p + "ffn.w1"].T

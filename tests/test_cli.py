@@ -226,6 +226,34 @@ def test_experiment_rejects_invalid_sizes_before_output(tmp_path, capsys, flag, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--n-train", "0"), ("--n-val", "-1"), ("--n-test", "0"), ("--n-corpus", "1"),
+])
+def test_make_synthetic_rejects_invalid_sizes_before_output(tmp_path, capsys, flag, value):
+    out = tmp_path / "syn"
+    code, stdout, err = run(capsys, "make-synthetic", "--out", str(out),
+                            *EXPERIMENT_SIZES, flag, value)
+    name = flag[2:].replace("-", "_")
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"error: {name} must be >= ") and err.strip().count("\n") == 0, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, axis", [
+    ("--settings", "clean-clean,clean-clean", "settings"),
+    ("--objectives", "wlm,wlm", "objectives"),
+    ("--n-seeds", "0", "seeds"),
+])
+def test_experiment_rejects_duplicate_or_empty_axes(tmp_path, capsys, flag, value, axis):
+    out = tmp_path / "exp"
+    code, stdout, err = run(capsys, "experiment", "--out", str(out), "--n-seeds", "1",
+                            *EXPERIMENT_SIZES, flag, value)
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"error: {axis} must be non-empty and distinct")
+    assert err.strip().count("\n") == 0, err
+    assert not out.exists()
+
+
 # -------------------------------------------------- OOV words and bad input
 
 def test_warp_preview_accepts_oov_word(workspace, capsys):

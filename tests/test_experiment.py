@@ -1,10 +1,11 @@
 import itertools
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
+import warplm.experiment
 from warplm.experiment import (
     METRICS,
     ExperimentMatrix,
@@ -108,6 +109,16 @@ def test_matrix_validation():
         ExperimentMatrix(objectives=("gpt",))
 
 
+@pytest.mark.parametrize("axis, value", [
+    ("settings", ("clean-clean", "clean-clean")), ("settings", ()),
+    ("objectives", ("wlm", "wlm")), ("objectives", ()),
+    ("seeds", (1, 1)), ("seeds", ()),
+])
+def test_matrix_axes_must_be_non_empty_and_distinct(axis, value):
+    with pytest.raises(ValueError, match=f"{axis} must be non-empty and distinct"):
+        ExperimentMatrix(**{axis: value})
+
+
 # ------------------------------------------------------------- micro run
 
 def test_run_experiment_micro(tmp_path):
@@ -128,3 +139,59 @@ def test_run_experiment_micro(tmp_path):
     assert set(row) == {"objective", "setting", "seed", "intent_accuracy",
                         "slot_f1", "joint_accuracy"}
     assert "clean-noisy" in report.p_values
+
+
+MICRO = dict(n_train=24, n_val=8, n_test=12, n_corpus=80,
+             pretrain_epochs=1, finetune_epochs=1, seed=0)
+
+
+def count_finetunes(monkeypatch):
+    calls = []
+    real_finetune = warplm.experiment.finetune
+
+    def counting_finetune(*args, **kwargs):
+        calls.append(kwargs["seed"])
+        return real_finetune(*args, **kwargs)
+
+    monkeypatch.setattr(warplm.experiment, "finetune", counting_finetune)
+    return calls
+
+
+def test_run_experiment_fine_tunes_once_per_training_set(tmp_path, monkeypatch):
+    calls = count_finetunes(monkeypatch)
+    report = run_experiment(tmp_path / "exp", ExperimentMatrix(seeds=(0, 1)), **MICRO, log=None)
+    assert len(report.records) == 12  # 3 settings x 2 objectives x 2 seeds
+    assert len(calls) == 8  # (clean, noisy) training sets x 2 objectives x 2 seeds
+
+
+def run_lines(log, settings):
+    """The per-run lines of a run's log ("<setting> <objective> seed=...")."""
+    return [line for line in log if line.split(" ")[0] in settings]
+
+
+def per_setting_reference(out_dir, matrix):
+    """Records and per-run log lines of one run per setting, concatenated in
+    matrix order: every (setting, objective, seed) gets its own fine-tune."""
+    records, lines = [], []
+    for setting in matrix.settings:
+        log = []
+        report = run_experiment(out_dir / setting, replace(matrix, settings=(setting,)),
+                                **MICRO, log=log.append)
+        records += report.records
+        lines += run_lines(log, (setting,))
+    return records, lines
+
+
+def test_shared_fine_tunes_keep_matrix_order_and_values(tmp_path, monkeypatch):
+    matrix = ExperimentMatrix(settings=("noisy-noisy", "clean-noisy", "clean-clean"),
+                              seeds=(1, 0))
+    ref_records, ref_lines = per_setting_reference(tmp_path / "ref", matrix)
+    calls = count_finetunes(monkeypatch)
+    log = []
+    report = run_experiment(tmp_path / "exp", matrix, **MICRO, log=log.append)
+    assert len(calls) == 8
+    assert report.records == ref_records
+    assert [(r.setting, r.objective, r.seed) for r in report.records] == list(
+        itertools.product(matrix.settings, matrix.objectives, matrix.seeds))
+    assert len(ref_lines) == 12
+    assert run_lines(log, matrix.settings) == ref_lines

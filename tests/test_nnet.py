@@ -3,6 +3,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from warplm.nnet import (
     AdamState,
@@ -24,6 +25,7 @@ from warplm.nnet import (
     softmax,
     step,
 )
+import warplm.nnet.encoder
 from warplm.nnet.encoder import LN_EPS, _gelu, _gelu_grad, _layer_norm, _ce
 from warplm.textcore import INS_ID
 
@@ -49,21 +51,60 @@ def tiny_batch(seed=0):
 
 # ------------------------------------------------------------------ pieces
 
+def gelu(x):
+    return _gelu(x)[0]
+
+
 def test_gelu_known_values():
     # gelu(0) = 0, gelu(x) - gelu(-x) = x, gelu(large) ~ identity
-    assert _gelu(np.float64(0.0)) == 0.0
+    assert gelu(np.float64(0.0)) == 0.0
     x = np.linspace(-3, 3, 13)
-    np.testing.assert_allclose(_gelu(x) - _gelu(-x), x, atol=1e-12)
-    assert abs(_gelu(np.float64(10.0)) - 10.0) < 1e-12
+    np.testing.assert_allclose(gelu(x) - gelu(-x), x, atol=1e-12)
+    assert abs(gelu(np.float64(10.0)) - 10.0) < 1e-12
     # gelu(1) = 0.5 * (1 + erf(1/sqrt2)) = 0.841344746...
-    assert abs(_gelu(np.float64(1.0)) - 0.8413447460685429) < 1e-12
+    assert abs(gelu(np.float64(1.0)) - 0.8413447460685429) < 1e-12
 
 
 def test_gelu_grad_matches_fd():
     x = np.linspace(-4, 4, 41)
     eps = 1e-6
-    fd = (_gelu(x + eps) - _gelu(x - eps)) / (2 * eps)
-    np.testing.assert_allclose(_gelu_grad(x), fd, atol=1e-8)
+    fd = (gelu(x + eps) - gelu(x - eps)) / (2 * eps)
+    np.testing.assert_allclose(_gelu_grad(x, _gelu(x)[1]), fd, atol=1e-8)
+
+
+def gelu_and_grad_two_erf(u):
+    """GELU and its derivative, each computing its own erf (the reference
+    for the erf that `_gelu` hands to `_gelu_grad`)."""
+    inv_sqrt2, inv_sqrt2pi = 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0 * math.pi)
+    a = 0.5 * u * (1.0 + erf(u * inv_sqrt2))
+    g = 0.5 * (1.0 + erf(u * inv_sqrt2)) + u * np.exp(-0.5 * u * u) * inv_sqrt2pi
+    return a, g
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_grad_from_the_forward_erf_is_bit_identical(dtype):
+    u = np.random.default_rng(0).normal(0.0, 2.0, size=(3, 5, 12)).astype(dtype)
+    a, phi2 = _gelu(u)
+    ref_a, ref_g = gelu_and_grad_two_erf(u)
+    g = _gelu_grad(u, phi2)
+    assert a.dtype == phi2.dtype == g.dtype == dtype
+    assert a.tobytes() == ref_a.tobytes()
+    assert (0.5 * u * phi2).tobytes() == ref_a.tobytes()  # encoder_backward's recompute
+    assert g.tobytes() == ref_g.tobytes()
+
+
+def test_one_erf_call_per_layer_per_training_step(monkeypatch):
+    calls = []
+    real_erf = warplm.nnet.encoder.erf
+
+    def counting_erf(x):
+        calls.append(x.shape)
+        return real_erf(x)
+
+    monkeypatch.setattr(warplm.nnet.encoder, "erf", counting_erf)
+    ids, pad, labels, pm = tiny_batch()
+    lm_loss_and_grads(tiny_model(), ids, pad, labels, pm)
+    assert len(calls) == TINY.n_layers
 
 
 def test_layer_norm_statistics():
