@@ -15,7 +15,7 @@ deterministic.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class NoiseConfig:
         return cls()
 
 
-class AlignKind(enum.Enum):
+class AlignKind(str, enum.Enum):
     MATCH = "match"
     SUB = "sub"
     DEL = "del"
@@ -63,11 +63,8 @@ class AlignKind(enum.Enum):
 @dataclass(frozen=True)
 class AlignmentOp:
     kind: AlignKind
-    ref_index: int | None
-    hyp_index: int | None
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind.value, "ref": self.ref_index, "hyp": self.hyp_index}
+    ref: int | None
+    hyp: int | None
 
 
 def align(ref: list, hyp: list) -> list[AlignmentOp]:
@@ -180,17 +177,17 @@ def transfer_labels(
     ri = hi = 0
     for op in ops:
         if op.kind in (AlignKind.MATCH, AlignKind.SUB):
-            if op.ref_index != ri or op.hyp_index != hi:
+            if op.ref != ri or op.hyp != hi:
                 raise ValueError("alignment ops out of order")
             tags[hi] = ref.tags[ri]
             ri += 1
             hi += 1
         elif op.kind is AlignKind.DEL:
-            if op.ref_index != ri:
+            if op.ref != ri:
                 raise ValueError("alignment ops out of order")
             ri += 1
         else:
-            if op.hyp_index != hi:
+            if op.hyp != hi:
                 raise ValueError("alignment ops out of order")
             tags[hi] = OUTSIDE
             hi += 1
@@ -219,21 +216,19 @@ def make_noisy_slu_set(
         rng = np.random.default_rng(derive_seed(seed, 0xA5, i))
         hyp = corrupt(u.token_ids, config, len(vocab), rng)
         fully_deleted = not hyp
-        if fully_deleted:
-            n_empty += 1
-            hyp = [UNK_ID]
-            out = TaggedUtterance(hyp, [OUTSIDE], u.intent)
-            ops = align(u.token_ids, hyp)
-        else:
-            ops = align(u.token_ids, hyp)
-            out = transfer_labels(u, hyp, ops)
+        n_empty += fully_deleted
+        hyp = hyp or [UNK_ID]
+        ops = align(u.token_ids, hyp)
+        # the UNK stand-in carries no reference tag
+        out = (TaggedUtterance(hyp, [OUTSIDE], u.intent) if fully_deleted
+               else transfer_labels(u, hyp, ops))
         stats.add(ops, len(u.token_ids))
         noisy.append(out)
         sidecar.append(
             {
                 "index": i,
                 "fully_deleted": fully_deleted,
-                "ops": [op.to_json() for op in ops],
+                "ops": [asdict(op) for op in ops],
                 "ref_len": len(u.token_ids),
                 "hyp_len": len(hyp),
             }

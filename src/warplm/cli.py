@@ -25,6 +25,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import asrsim, experiment, pretrain as pretrain_mod, slu, textcore, warp
 from .nnet import ModelConfig, load_encoder, save_encoder
 
@@ -134,8 +136,6 @@ def cmd_pretrain(args) -> int:
     else:
         train_sents, val_sents = pretrain_mod.split_validation(corpus.sentences,
                                                                rc.val_fraction)
-    if not train_sents:
-        raise ValueError("empty corpus")
     model_cfg = ModelConfig(
         vocab_size=len(vocab), d_model=rc.d_model, n_layers=rc.n_layers,
         n_heads=rc.n_heads, d_ff=rc.d_ff, max_len=rc.max_len, dropout=rc.dropout,
@@ -174,6 +174,11 @@ def cmd_warp_preview(args) -> int:
 
 
 def cmd_corrupt(args) -> int:
+    rates = {k: getattr(args, k) for k in ("p_sub", "p_del", "p_ins")}
+    given = [k for k, v in rates.items() if v is not None]
+    if args.rates and given:
+        raise ValueError(f"--rates and --{given[0].replace('_', '-')} are exclusive: "
+                         "give a preset or custom rates")
     vocab = textcore.load_vocab(args.vocab)
     utts = slu.load_slu_file(args.data, vocab)
     if args.rates:
@@ -181,8 +186,7 @@ def cmd_corrupt(args) -> int:
                  "test": asrsim.NoiseConfig.test,
                  "clean": asrsim.NoiseConfig.clean}[args.rates]()
     else:
-        noise = asrsim.NoiseConfig(p_sub=args.p_sub, p_del=args.p_del,
-                                   p_ins=args.p_ins)
+        noise = asrsim.NoiseConfig(**{k: 0.0 if v is None else v for k, v in rates.items()})
     noisy_set = asrsim.make_noisy_slu_set(utts, noise, vocab, args.seed)
     asrsim.save_noisy_slu_set(args.out, args.out + ".align.json", noisy_set, vocab)
     noisy, sidecar, stats = noisy_set
@@ -288,9 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--rates", choices=("train_val", "test", "clean"),
                    help="preset noise rates")
-    p.add_argument("--p-sub", dest="p_sub", type=float, default=0.0)
-    p.add_argument("--p-del", dest="p_del", type=float, default=0.0)
-    p.add_argument("--p-ins", dest="p_ins", type=float, default=0.0)
+    for name in ("p_sub", "p_del", "p_ins"):
+        p.add_argument("--" + name.replace("_", "-"), dest=name, type=float,
+                       help="custom rate, 0 when omitted; not with --rates")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_corrupt)
 
@@ -340,7 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Overflow or NaN (from a garbled weight, say) is an error, not a
+        # warning followed by meaningless numbers.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except (ValueError, FloatingPointError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -58,7 +58,9 @@ def pad_batch(examples: list[WarpedExample], max_len: int):
 
 def split_validation(sentences: list, val_fraction: float) -> tuple[list, list]:
     """-> (train, val): the first max(1, int(n * val_fraction)) sentences
-    are held out for validation."""
+    are held out for validation; val_fraction must lie in (0, 1)."""
+    if not 0.0 < val_fraction < 1.0:
+        raise ValueError(f"val_fraction must be in (0, 1), got {val_fraction}")
     n_val = max(1, int(len(sentences) * val_fraction))
     return sentences[n_val:], sentences[:n_val]
 
@@ -133,6 +135,8 @@ def pretrain(
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if not train_sentences:
         raise ValueError("empty corpus")
+    if not val_sentences:
+        raise ValueError("empty validation corpus")
     model = init_model(model_cfg, derive_seed(seed, _SEED_INIT))
     adam = init_adam(model, lr=lr)
     history: list[EpochStats] = []

@@ -211,19 +211,18 @@ def encode_slu_batch(model: SLUModel, utts: list[TaggedUtterance]):
     return ids, pad_mask, intent_ids, tag_ids, tag_ids >= 0
 
 
-def slu_forward(
-    model: SLUModel,
-    ids: np.ndarray,
-    pad_mask: np.ndarray,
-    dropout_rng=None,
-):
-    """-> (intent_logits [B,I], slot_logits [B,L,S], encoder cache)."""
-    if not np.all(ids[:, 0] == CLS_ID):
-        raise ValueError("first position of every sequence must be CLS")
+def _heads(model: SLUModel, ids, pad_mask, rows, dropout_rng=None):
+    """One encoder pass and both heads, each on the rows it scores: the
+    intent head on the CLS position, the slot head where `rows` is true.
+
+    -> (h_cls [B,D], h_rows [R,D], intent_logits [B,I], slot_logits [R,S],
+    encoder cache)."""
     hidden, cache = forward(model.encoder, ids, pad_mask, dropout_rng)
-    intent_logits = hidden[:, 0, :] @ model.head["intent_w"] + model.head["intent_b"]
-    slot_logits = hidden @ model.head["slot_w"] + model.head["slot_b"]
-    return intent_logits, slot_logits, cache
+    h_cls, h_rows = hidden[:, 0], hidden[rows]
+    H = model.head
+    intent_logits = h_cls @ H["intent_w"] + H["intent_b"]
+    slot_logits = h_rows @ H["slot_w"] + H["slot_b"]
+    return h_cls, h_rows, intent_logits, slot_logits, cache
 
 
 def slu_loss_and_grads(model: SLUModel, utts, dropout_rng=None, freeze_encoder=False):
@@ -235,14 +234,15 @@ def slu_loss_and_grads(model: SLUModel, utts, dropout_rng=None, freeze_encoder=F
     if (intent_ids < 0).any():
         bad = [u.intent for u in utts if u.intent not in model.intent_to_id]
         raise ValueError(f"intent label not in model inventory: {bad[0]!r}")
-    hidden, cache = forward(model.encoder, ids, pad_mask, dropout_rng)
-    h_cls, h_tag = hidden[:, 0], hidden[tag_mask]
+    h_cls, h_tag, intent_logits, slot_logits, cache = _heads(
+        model, ids, pad_mask, tag_mask, dropout_rng
+    )
     H = model.head
-    i_loss, _, d_int = _ce(h_cls @ H["intent_w"] + H["intent_b"], intent_ids)
-    s_loss, _, d_slot = _ce(h_tag @ H["slot_w"] + H["slot_b"], tag_ids[tag_mask])
+    i_loss, _, d_int = _ce(intent_logits, intent_ids)
+    s_loss, _, d_slot = _ce(slot_logits, tag_ids[tag_mask])
     loss = i_loss + s_loss
 
-    d_hidden = np.zeros_like(hidden)
+    d_hidden = np.zeros(ids.shape + h_cls.shape[1:], dtype=h_cls.dtype)
     d_hidden[tag_mask] = d_slot @ H["slot_w"].T
     d_hidden[:, 0] += d_int @ H["intent_w"].T
     head_grads = {
@@ -266,15 +266,15 @@ def slu_predict(
     for lo in range(0, len(utts), _PREDICT_BATCH):
         chunk = utts[lo : lo + _PREDICT_BATCH]
         ids, pad_mask, _, _, _ = encode_slu_batch(model, chunk)
-        intent_logits, slot_logits, _ = slu_forward(model, ids, pad_mask)
-        best_int = np.argmax(intent_logits, axis=-1)
-        best_tag = np.argmax(slot_logits, axis=-1)
-        for i, u in enumerate(chunk):
-            intents.append(model.intent_labels[best_int[i]])
-            n = min(len(u.token_ids), ids.shape[1] - 1)
-            seq = [model.tag_labels[best_tag[i, 1 + j]] for j in range(n)]
+        rows = pad_mask.copy()
+        rows[:, 0] = False
+        _, _, intent_logits, slot_logits, _ = _heads(model, ids, pad_mask, rows)
+        best_tags = np.split(np.argmax(slot_logits, axis=-1), np.cumsum(rows.sum(axis=1))[:-1])
+        for u, best_int, best_tag in zip(chunk, np.argmax(intent_logits, axis=-1), best_tags):
+            intents.append(model.intent_labels[best_int])
+            seq = [model.tag_labels[t] for t in best_tag]
             # tokens beyond max_len cannot be tagged; pad with O
-            seq.extend([OUTSIDE] * (len(u.token_ids) - n))
+            seq.extend([OUTSIDE] * (len(u.token_ids) - len(seq)))
             tag_seqs.append(seq)
     return intents, tag_seqs
 

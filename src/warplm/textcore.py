@@ -109,16 +109,15 @@ def load_vocab(path: str | Path) -> Vocab:
 
 @dataclass
 class Corpus:
-    """Encoded sentences plus provenance. Immutable after construction."""
+    """Encoded sentences. Immutable after construction."""
 
     sentences: list[list[int]]
-    source_path: str = ""
 
     def __len__(self) -> int:
         return len(self.sentences)
 
 
-def corpus_from_text(text: str, vocab: Vocab, source_path: str = "<memory>") -> Corpus:
+def corpus_from_text(text: str, vocab: Vocab) -> Corpus:
     """Encode line-delimited text, skipping blank lines."""
     sentences = []
     for line in text.splitlines():
@@ -126,12 +125,12 @@ def corpus_from_text(text: str, vocab: Vocab, source_path: str = "<memory>") -> 
         if not ids:
             continue
         sentences.append(ids)
-    return Corpus(sentences, source_path)
+    return Corpus(sentences)
 
 
 def load_corpus(path: str | Path, vocab: Vocab) -> Corpus:
     """Read a one-sentence-per-line UTF-8 corpus file. Blank lines are skipped."""
-    return corpus_from_text(Path(path).read_text(encoding="utf-8"), vocab, str(path))
+    return corpus_from_text(Path(path).read_text(encoding="utf-8"), vocab)
 
 
 def write_json(path: str | Path, obj) -> None:

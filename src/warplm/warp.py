@@ -109,9 +109,6 @@ class WarpPlan:
             if not 0 <= i < self.seq_len:
                 raise ValueError(f"op position {i} outside sequence of length {self.seq_len}")
 
-    def count(self, op: WarpOp) -> int:
-        return sum(1 for o in self.ops.values() if o is op)
-
 
 @dataclass
 class WarpedExample:
@@ -180,12 +177,13 @@ def sample_plan(seq_len: int, config: WarpConfig, seed: int) -> WarpPlan:
 
 
 def apply_plan(original_ids, plan: WarpPlan, vocab: Vocab, seed: int) -> WarpedExample:
-    """Apply a legal plan, emitting warped positions left to right.
+    """Apply a legal plan by editing the original sequence at its op positions.
 
     Random replacement/insertion tokens are drawn uniformly over non-special
-    ids (a RAND draw may coincide with the original token). UNK is an
-    ordinary token here, so out-of-vocabulary words can be warped and
-    predicted; the other special ids are rejected.
+    ids, one per INSERT and RAND from left to right (a RAND draw may
+    coincide with the original token). UNK is an ordinary token here, so
+    out-of-vocabulary words can be warped and predicted; the other special
+    ids are rejected.
     """
     original_ids = [int(x) for x in original_ids]
     if plan.seq_len != len(original_ids):
@@ -196,43 +194,32 @@ def apply_plan(original_ids, plan: WarpPlan, vocab: Vocab, seed: int) -> WarpedE
         raise ValueError("illegal warp plan")
     if any(x < N_SPECIALS and x != UNK_ID for x in original_ids):
         raise ValueError("original_ids must not contain special ids other than UNK")
-    vsize = len(vocab)
+    ops = sorted(plan.ops.items())
+    n_draws = sum(op in (WarpOp.INSERT, WarpOp.RAND) for _, op in ops)
+    if n_draws and len(vocab) <= N_SPECIALS:
+        raise ValueError("vocab has no non-special tokens to draw from")
     rng = np.random.default_rng(seed)
+    draws = [int(rng.integers(N_SPECIALS, len(vocab))) for _ in range(n_draws)]
 
-    def random_token() -> int:
-        if vsize <= N_SPECIALS:
-            raise ValueError("vocab has no non-special tokens to draw from")
-        return int(rng.integers(N_SPECIALS, vsize))
-
-    input_ids: list[int] = []
-    label_ids: list[int] = []
-    predict: list[bool] = []
-
-    def emit(tok: int, label: int, pred: bool) -> None:
-        input_ids.append(tok)
-        label_ids.append(label)
-        predict.append(pred)
-
-    pending: int | None = None  # dropped token waiting to label the next emission
-    for i, x in enumerate(original_ids):
-        op = plan.ops.get(i)
+    input_ids = list(original_ids)
+    label_ids = [IGNORE_LABEL] * len(input_ids)
+    predict = [False] * len(input_ids)
+    # Right to left, so an edit never shifts a position still to be edited.
+    for i, op in reversed(ops):
         if op is WarpOp.INSERT:
-            emit(random_token(), INS_ID, True)
-            op = None  # the original token at i is emitted unmodified
+            input_ids.insert(i, draws.pop())
+            label_ids.insert(i, INS_ID)
+            predict.insert(i, True)
+            continue
         if op is WarpOp.DROP:
-            pending = x
+            # A legal plan leaves i+1 untouched, so the token that moves into
+            # i is the unwarped, unlabelled successor; it takes the label.
+            del input_ids[i], label_ids[i], predict[i]
         elif op is WarpOp.MASK:
-            emit(MASK_ID, x, True)
-        elif op is WarpOp.KEEP:
-            emit(x, x, True)
+            input_ids[i] = MASK_ID
         elif op is WarpOp.RAND:
-            emit(random_token(), x, True)
-        elif pending is not None:
-            emit(x, pending, True)
-            pending = None
-        else:
-            emit(x, IGNORE_LABEL, False)
-
+            input_ids[i] = draws.pop()
+        label_ids[i], predict[i] = original_ids[i], True
     return WarpedExample(input_ids, label_ids, predict, original_ids, plan)
 
 

@@ -58,7 +58,8 @@ def test_01_warp_legality_stress():
         if ops.get(n - 1) is warp.WarpOp.DROP:
             n_illegal += 1
         ex = warp.apply_plan(ids_by_len[n], plan, vocab, derive_seed(9002, i))
-        want = n - plan.count(warp.WarpOp.DROP) + plan.count(warp.WarpOp.INSERT)
+        kinds = list(ops.values())
+        want = n - kinds.count(warp.WarpOp.DROP) + kinds.count(warp.WarpOp.INSERT)
         if len(ex.input_ids) != want or len(ex.label_ids) != want:
             n_algebra_bad += 1
     dt = time.perf_counter() - t0

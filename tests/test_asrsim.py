@@ -1,4 +1,6 @@
+import json
 import random
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -32,8 +34,8 @@ def kinds(ops):
 def test_align_identity():
     ops = align([1, 2, 3], [1, 2, 3])
     assert kinds(ops) == [AlignKind.MATCH] * 3
-    assert [op.ref_index for op in ops] == [0, 1, 2]
-    assert [op.hyp_index for op in ops] == [0, 1, 2]
+    assert [op.ref for op in ops] == [0, 1, 2]
+    assert [op.hyp for op in ops] == [0, 1, 2]
 
 
 def test_align_empty_cases():
@@ -48,7 +50,7 @@ def test_align_prefers_match_over_indel_pair():
     # final b aligns as MATCH and a is deleted
     ops = align(["a", "b"], ["b"])
     assert kinds(ops) == [AlignKind.DEL, AlignKind.MATCH]
-    assert ops[1].ref_index == 1 and ops[1].hyp_index == 0
+    assert ops[1].ref == 1 and ops[1].hyp == 0
 
 
 def test_align_substitution():
@@ -68,16 +70,16 @@ def test_align_deterministic():
 )
 def test_align_covers_both_sequences_in_order(ref, hyp):
     ops = align(ref, hyp)
-    ref_idx = [op.ref_index for op in ops if op.ref_index is not None]
-    hyp_idx = [op.hyp_index for op in ops if op.hyp_index is not None]
+    ref_idx = [op.ref for op in ops if op.ref is not None]
+    hyp_idx = [op.hyp for op in ops if op.hyp is not None]
     assert ref_idx == list(range(len(ref)))
     assert hyp_idx == list(range(len(hyp)))
     # MATCH really matches; SUB really differs
     for op in ops:
         if op.kind is AlignKind.MATCH:
-            assert ref[op.ref_index] == hyp[op.hyp_index]
+            assert ref[op.ref] == hyp[op.hyp]
         elif op.kind is AlignKind.SUB:
-            assert ref[op.ref_index] != hyp[op.hyp_index]
+            assert ref[op.ref] != hyp[op.hyp]
 
 
 def numpy_distance(ref, hyp):
@@ -118,7 +120,7 @@ def test_align_distance_matches_oracles_random():
 
 def test_alignment_op_json():
     op = AlignmentOp(AlignKind.SUB, 3, 4)
-    assert op.to_json() == {"kind": "sub", "ref": 3, "hyp": 4}
+    assert json.loads(json.dumps(asdict(op))) == {"kind": "sub", "ref": 3, "hyp": 4}
 
 
 # --------------------------------------------------------------------- wer
@@ -275,7 +277,7 @@ def test_make_noisy_slu_set_shape_and_determinism():
 
 def test_make_noisy_full_deletion_becomes_unk():
     # brutal rates force full deletions on short utterances
-    utts = [U([10], ["O"], "a"), U([11, 12], ["O", "O"], "b")] * 40
+    utts = [U([10], ["O"], "a"), U([11, 12], ["B-x", "I-x"], "b")] * 40
     cfg = NoiseConfig(p_sub=0.0, p_del=0.9, p_ins=0.0)
     noisy, sidecar, _ = make_noisy_slu_set(utts, cfg, VOCAB, seed=6)
     assert sidecar[0]["n_fully_deleted"] > 0

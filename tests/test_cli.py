@@ -1,15 +1,24 @@
+import contextlib
 import dataclasses
+import importlib.util
+import io
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from warplm.cli import RunConfig, main, parse_config_file, resolve_run_config, build_parser
 from warplm.nnet import (
     ModelConfig, init_model, load_checkpoint, load_encoder, save_checkpoint, save_encoder,
 )
-from warplm.slu import init_slu_model, load_slu, save_slu
+from warplm.slu import init_slu_model, label_inventory, load_slu, load_slu_file, save_slu
 from warplm.textcore import load_vocab
+
+DIGEST_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "pipeline_digest.py"
 
 
 def run(capsys, *argv):
@@ -293,6 +302,57 @@ def test_finetune_truncated_checkpoint_is_single_line_error(workspace, tmp_path,
         assert "cut.ckpt" in err
 
 
+def tiny_config(vocab):
+    return ModelConfig(len(vocab), d_model=8, n_layers=1, n_heads=2, d_ff=16, max_len=32)
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoints(workspace):
+    """The bytes of a tiny encoder checkpoint (read by finetune) and a tiny
+    SLU checkpoint (read by evaluate)."""
+    data = workspace / "data"
+    vocab = load_vocab(data / "vocab.txt")
+    labels = label_inventory(load_slu_file(data / "slu_train.tsv", vocab))
+    enc, slu_ckpt = workspace / "tiny_enc.ckpt", workspace / "tiny_slu.ckpt"
+    save_encoder(enc, init_model(tiny_config(vocab)), vocab.content_hash)
+    save_slu(slu_ckpt, init_slu_model(init_model(tiny_config(vocab)), *labels),
+             vocab.content_hash)
+    return {"finetune": enc.read_bytes(), "evaluate": slu_ckpt.read_bytes()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["finetune", "evaluate"]),
+       # half the offsets fall in the magic, version, lengths and JSON header
+       offset=st.one_of(st.integers(0, 255), st.integers(0, 2**20)),
+       bit=st.integers(0, 7))
+def test_checkpoint_bit_flip_exits_0_or_single_line_error(
+        workspace, tiny_checkpoints, command, offset, bit):
+    raw = bytearray(tiny_checkpoints[command])
+    raw[offset % len(raw)] ^= 1 << bit
+    data = workspace / "data"
+    with tempfile.TemporaryDirectory() as d:
+        ckpt = Path(d) / "flipped.ckpt"
+        ckpt.write_bytes(bytes(raw))
+        if command == "finetune":
+            argv = ["finetune", "--train", str(data / "slu_train.tsv"),
+                    "--val", str(data / "slu_val.tsv"), "--out", str(Path(d) / "x.ckpt"),
+                    "--epochs", "1"]
+        else:
+            argv = ["evaluate", "--data", str(data / "slu_test.tsv")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+            # warnings reach stderr, as they do on the command line
+            warnings.simplefilter("default")
+            warnings.showwarning = lambda *w: err.write(warnings.formatwarning(*w[:4]))
+            with contextlib.redirect_stderr(err):
+                code = main(argv + ["--checkpoint", str(ckpt), "--vocab", str(data / "vocab.txt")])
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, err.getvalue()
+    else:
+        assert "Traceback" not in err.getvalue()
+
+
 def _drop_heads(header, params):
     for k in [k for k in params if k.startswith("head.")]:
         del params[k]
@@ -421,3 +481,53 @@ def test_zero_epochs_or_batch_size_is_rejected_before_output(
     assert code == 2 and out == ""
     assert err.startswith(f"error: {name} must be >= 1") and err.strip().count("\n") == 0, err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("val_fraction", ["-3", "0", "1"])
+def test_pretrain_rejects_val_fraction_outside_unit_interval(
+        workspace, tmp_path, capsys, val_fraction):
+    argv = command_argv("pretrain", workspace, tmp_path / "x.ckpt")
+    code, out, err = run(capsys, *argv, "--val-fraction", val_fraction)
+    assert code == 2 and out == ""
+    assert err.startswith("error: val_fraction must be in (0, 1)")
+    assert err.strip().count("\n") == 0, err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_pretrain_rejects_empty_validation_corpus_before_training(
+        workspace, tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("\n\n")
+    argv = command_argv("pretrain", workspace, tmp_path / "x.ckpt")
+    code, out, err = run(capsys, *argv, "--val-corpus", str(empty))
+    assert code == 2 and out == ""
+    assert err == "error: empty validation corpus\n"
+    assert list(tmp_path.iterdir()) == [empty]
+
+
+@pytest.mark.parametrize("preset, flag", [("clean", "--p-sub"), ("test", "--p-ins")])
+def test_corrupt_rejects_preset_with_custom_rate(workspace, tmp_path, capsys, preset, flag):
+    data = workspace / "data"
+    code, out, err = run(capsys, "corrupt", "--data", str(data / "slu_test.tsv"),
+                         "--vocab", str(data / "vocab.txt"), "--out", str(tmp_path / "n.tsv"),
+                         "--rates", preset, flag, "0.5")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: --rates and {flag} are exclusive")
+    assert err.strip().count("\n") == 0, err
+    assert list(tmp_path.iterdir()) == []
+
+
+def load_pipeline_digest():
+    spec = importlib.util.spec_from_file_location("pipeline_digest", DIGEST_SCRIPT)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_every_subcommand_is_deterministic(tmp_path):
+    """Two runs of the digest pipeline, which calls every subcommand, write
+    byte-identical stdout and files."""
+    digest = load_pipeline_digest()
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    assert digest.run(tmp_path / "a") == digest.run(tmp_path / "b")

@@ -27,7 +27,6 @@ from warplm.slu import (
     parse_slu_text,
     save_slu,
     save_slu_file,
-    slu_forward,
     slu_loss_and_grads,
     slu_predict,
 )
@@ -243,15 +242,6 @@ def test_encode_slu_batch_layout():
         assert tag_mask[i].sum() == len(u.token_ids)
 
 
-def test_slu_forward_requires_cls():
-    utts = synth_slu_utterances(2, VOCAB, seed=1)
-    model = init_slu_model(desk_encoder(), *label_inventory(utts))
-    ids, pad, *_ = encode_slu_batch(model, utts)
-    ids[0, 0] = 7
-    with pytest.raises(ValueError, match="CLS"):
-        slu_forward(model, ids, pad)
-
-
 def test_slu_loss_uniform_logits_oracle():
     """With zeroed heads all logits are 0, so the joint loss must equal
     ln(n_intents) + ln(n_tags) exactly."""
@@ -380,6 +370,27 @@ def test_slu_predict_shapes_and_inventory():
         assert len(seq) == len(u.token_ids)
         assert all(t in model.tag_labels for t in seq)
     assert all(i in model.intent_labels for i in intents)
+
+
+def test_slu_predict_matches_full_shape_logits():
+    """Argmaxes of [B,L,S] slot logits at every position, read back per
+    utterance; tokens past max_len get O."""
+    utts = synth_slu_utterances(7, VOCAB, seed=5)
+    utts.append(TaggedUtterance(utts[0].token_ids * 9, utts[0].tags * 9, utts[0].intent))
+    model = init_slu_model(init_model(ModelConfig.desk(len(VOCAB), max_len=16), seed=3),
+                           *label_inventory(utts), seed=1)
+    ids, pad, *_ = encode_slu_batch(model, utts)
+    hidden, _ = forward(model.encoder, ids, pad)
+    H = model.head
+    want_int = np.argmax(hidden[:, 0] @ H["intent_w"] + H["intent_b"], axis=-1)
+    want_tag = np.argmax(hidden @ H["slot_w"] + H["slot_b"], axis=-1)
+    intents, tag_seqs = slu_predict(model, utts)
+    assert intents == [model.intent_labels[i] for i in want_int]
+    for i, (u, seq) in enumerate(zip(utts, tag_seqs)):
+        n = min(len(u.token_ids), ids.shape[1] - 1)
+        assert seq == [model.tag_labels[t] for t in want_tag[i, 1 : n + 1]] + [OUTSIDE] * (
+            len(u.token_ids) - n)
+    assert len(tag_seqs[-1]) > ids.shape[1] - 1
 
 
 def test_unknown_intent_in_train_batch_errors():

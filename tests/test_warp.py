@@ -203,8 +203,7 @@ def test_mlm_never_inserts_or_drops():
     ids = list(range(5, 45))
     for seed in range(200):
         p = sample_plan(len(ids), WarpConfig.mlm(), seed)
-        assert p.count(WarpOp.INSERT) == 0
-        assert p.count(WarpOp.DROP) == 0
+        assert not {WarpOp.INSERT, WarpOp.DROP} & set(p.ops.values())
         ex = apply_plan(ids, p, VOCAB, derive_seed(seed))
         assert len(ex.input_ids) == len(ids)
 
@@ -254,7 +253,8 @@ def test_sampled_plans_apply_with_exact_length_algebra(seq_len, seed):
     ids = [N_SPECIALS + (i % 30) for i in range(seq_len)]
     p = sample_plan(seq_len, WarpConfig.wlm(), seed)
     ex = apply_plan(ids, p, VOCAB, derive_seed(seed, 1))
-    n_ins, n_drop = p.count(WarpOp.INSERT), p.count(WarpOp.DROP)
+    ops = list(p.ops.values())
+    n_ins, n_drop = ops.count(WarpOp.INSERT), ops.count(WarpOp.DROP)
     assert len(ex.input_ids) == seq_len - n_drop + n_ins
     # labeled position count: every op contributes exactly one prediction
     assert sum(ex.predict_mask) == len(p.ops)
@@ -276,3 +276,47 @@ def test_raw_plan_positions_in_range(seq_len, seed):
     p = sample_raw_plan(seq_len, WarpConfig.wlm(), seed)
     assert all(0 <= i < seq_len for i in p.ops)
     assert p.seq_len == seq_len
+
+
+def emitting_apply_plan(original_ids, p, vocab, seed):
+    """apply_plan as a left-to-right pass that emits each warped position in
+    turn: the reference for the implementation that edits at op positions."""
+    rng = np.random.default_rng(seed)
+    input_ids, label_ids, predict = [], [], []
+
+    def emit(tok, label, pred):
+        input_ids.append(tok)
+        label_ids.append(label)
+        predict.append(pred)
+
+    pending = None  # dropped token waiting to label the next emission
+    for i, x in enumerate(original_ids):
+        op = p.ops.get(i)
+        if op is WarpOp.INSERT:
+            emit(int(rng.integers(N_SPECIALS, len(vocab))), INS_ID, True)
+            op = None  # the original token at i is emitted unmodified
+        if op is WarpOp.DROP:
+            pending = x
+        elif op is WarpOp.MASK:
+            emit(MASK_ID, x, True)
+        elif op is WarpOp.KEEP:
+            emit(x, x, True)
+        elif op is WarpOp.RAND:
+            emit(int(rng.integers(N_SPECIALS, len(vocab))), x, True)
+        elif pending is not None:
+            emit(x, pending, True)
+            pending = None
+        else:
+            emit(x, IGNORE_LABEL, False)
+    return input_ids, label_ids, predict
+
+
+@settings(max_examples=300)
+@given(ids=st.lists(st.sampled_from([UNK_ID, *range(N_SPECIALS, len(VOCAB))]),
+                    min_size=1, max_size=20),
+       ops=ops_strategy, seed=st.integers(0, 2**32 - 1))
+def test_apply_plan_matches_emitting_reference(ids, ops, seed):
+    p = repair_plan(WarpPlan(len(ids), {i: op for i, op in ops.items() if i < len(ids)}))
+    ex = apply_plan(ids, p, VOCAB, seed)
+    assert (ex.input_ids, ex.label_ids, ex.predict_mask) == emitting_apply_plan(
+        ids, p, VOCAB, seed)
