@@ -11,12 +11,24 @@ and standard deviations are reported with an exact two-sided permutation
 test between the two objectives. Settings with the same fine-tune data
 share their fine-tuned models: clean-clean and clean-noisy score one model
 per (objective, seed) on the two test sets.
+
+The matrix's independent cells (one pretrain per objective, then one
+fine-tune and evaluation per training set, objective and seed) run on a
+thread pool with one worker per usable CPU, so at most one fine-tuned model
+per worker is alive at a time. Each cell keeps its own seed streams and the
+results are consumed in matrix order, so the artifacts do not depend on the
+number of workers.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import ctypes
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -185,6 +197,68 @@ def _require_at_least(*checks):
             raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this OS
+        return os.cpu_count() or 1
+
+
+def _openblas_thread_controls() -> list:
+    """(get, set) thread-count functions of every OpenBLAS loaded in this
+    process, found by the symbols each exports (numpy's bundled copy names
+    them scipy_openblas_*64_). Empty where none is found or the process has
+    no /proc/self/maps."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("openblas", "scipy_openblas"):
+            for suffix in ("", "64_"):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    controls.append((get, set_))
+    return controls
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin every loaded OpenBLAS to one thread and restore the old counts
+    on exit: pool workers already use every CPU, and a multi-threaded BLAS
+    under each of them oversubscribes it."""
+    controls = _openblas_thread_controls()
+    old = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), n in zip(controls, old):
+            set_(n)
+
+
+def _run_cells(cells: list) -> list:
+    """Call each zero-argument function in `cells` on a pool of up to one
+    thread per usable CPU and return their results in order. Each cell runs
+    in a copy of the caller's context, so numpy's errstate (a context
+    variable) holds inside it. The first failing cell in order re-raises its
+    exception here, and cells not yet started are cancelled."""
+    pool = ThreadPoolExecutor(min(_usable_cpus(), len(cells)))
+    try:
+        futures = [pool.submit(contextvars.copy_context().run, cell) for cell in cells]
+        return [f.result() for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def write_synthetic_data(out_dir, n_corpus: int, n_train: int, n_val: int, n_test: int,
                          seed: int):
     """Write the experiment's data for `seed` under out_dir: vocab.txt,
@@ -242,37 +316,51 @@ def run_experiment(
         save_noisy_slu_set(out / f"slu_{name}_noisy.tsv",
                            out / f"slu_{name}_noisy.align.json", noisy_set, vocab)
 
-    encoders: dict[str, EncoderModel] = {}
-    for obj in matrix.objectives:
-        if log:
-            log(f"pretraining objective={obj} ({pretrain_epochs} epochs)")
-        model, history = pretrain(
-            train_sents, val_sents, vocab, model_cfg,
-            WarpConfig.for_objective(obj),
-            epochs=pretrain_epochs, batch_size=32, lr=1e-3,
-            seed=derive_seed(seed, 6),
+    # The cells call `pretrain`, `finetune` and `evaluate_slu` through this
+    # module's globals, looked up when a cell runs.
+    def pretrain_cell(obj):
+        return lambda: pretrain(
+            train_sents, val_sents, vocab, model_cfg, WarpConfig.for_objective(obj),
+            epochs=pretrain_epochs, batch_size=32, lr=1e-3, seed=derive_seed(seed, 6),
         )
-        encoders[obj] = model
-        write_jsonl(out / f"pretrain_{obj}.jsonl", history)
 
     # One fine-tune per (training set, objective, seed), scored on the test
     # set of every setting that trains on that set.
     train_sets = {"clean": (train, val), "noisy": (noisy_sets["train"], noisy_sets["val"])}
     test_sets = {"clean": test, "noisy": noisy_sets["test"]}
-    scores = {}  # (setting, objective, seed) -> SLUMetrics
-    for kind, (ft_train, ft_val) in train_sets.items():
-        group = [st for st in matrix.settings if st.startswith(kind)]
-        if not group:
-            continue
-        for obj, s in itertools.product(matrix.objectives, matrix.seeds):
+    finetune_keys = [
+        (kind, obj, s)
+        for kind in train_sets if any(st.startswith(kind) for st in matrix.settings)
+        for obj, s in itertools.product(matrix.objectives, matrix.seeds)
+    ]
+
+    def finetune_cell(kind, obj, s):
+        def cell():
+            ft_train, ft_val = train_sets[kind]
             model, _ = finetune(
                 encoders[obj], ft_train, ft_val,
                 epochs=finetune_epochs, batch_size=16, lr=5e-4,
                 seed=derive_seed(seed, 7, s),
             )
-            for setting in group:
-                scores[setting, obj, s] = evaluate_slu(model, test_sets[setting.split("-")[1]])
-            del model  # one fine-tuned model alive at a time
+            return {setting: evaluate_slu(model, test_sets[setting.split("-")[1]])
+                    for setting in matrix.settings if setting.startswith(kind)}
+        return cell
+
+    with _one_blas_thread():
+        if log:
+            for obj in matrix.objectives:
+                log(f"pretraining objective={obj} ({pretrain_epochs} epochs)")
+        encoders: dict[str, EncoderModel] = {}
+        pretrained = _run_cells([pretrain_cell(obj) for obj in matrix.objectives])
+        for obj, (model, history) in zip(matrix.objectives, pretrained):
+            encoders[obj] = model
+            write_jsonl(out / f"pretrain_{obj}.jsonl", history)
+
+        scores = {}  # (setting, objective, seed) -> SLUMetrics
+        finetuned = _run_cells([finetune_cell(*key) for key in finetune_keys])
+        for (_, obj, s), by_setting in zip(finetune_keys, finetuned):
+            for setting, metrics in by_setting.items():
+                scores[setting, obj, s] = metrics
 
     records: list[RunRecord] = []
     for setting, obj, s in itertools.product(matrix.settings, matrix.objectives, matrix.seeds):

@@ -1,8 +1,11 @@
 import itertools
 import json
 import math
+import threading
+import time
 from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 
 import warplm.experiment
@@ -14,7 +17,14 @@ from warplm.experiment import (
     render_table,
     run_experiment,
     summarize,
+    write_synthetic_data,
 )
+from warplm.nnet import ModelConfig
+from warplm.pretrain import pretrain, split_validation
+from warplm.seeding import derive_seed
+from warplm.slu import evaluate_slu, finetune
+from warplm.textcore import corpus_from_text
+from warplm.warp import WarpConfig
 
 
 # -------------------------------------------------------------- perm test
@@ -195,3 +205,127 @@ def test_shared_fine_tunes_keep_matrix_order_and_values(tmp_path, monkeypatch):
         itertools.product(matrix.settings, matrix.objectives, matrix.seeds))
     assert len(ref_lines) == 12
     assert run_lines(log, matrix.settings) == ref_lines
+
+
+# ------------------------------------------------------------ cell pool
+
+def wrap(monkeypatch, name, before):
+    """Replace warplm.experiment.<name> by a wrapper that calls
+    before(args, kwargs) and then the real function."""
+    real = getattr(warplm.experiment, name)
+
+    def wrapper(*args, **kwargs):
+        before(args, kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(warplm.experiment, name, wrapper)
+
+
+@pytest.fixture
+def three_workers(monkeypatch):
+    """A pool of three workers whatever the host's CPU count."""
+    monkeypatch.setattr(warplm.experiment, "_usable_cpus", lambda: 3)
+
+
+def test_cells_run_under_the_callers_errstate(tmp_path, monkeypatch, three_workers):
+    seen = []
+    for name in ("pretrain", "finetune"):
+        wrap(monkeypatch, name, lambda a, kw, name=name: seen.append(
+            (name, threading.current_thread(), np.geterr())))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        run_experiment(tmp_path / "exp", ExperimentMatrix(seeds=(0, 1)), **MICRO, log=None)
+    assert sorted(n for n, _, _ in seen) == ["finetune"] * 8 + ["pretrain"] * 2
+    for name, thread, err in seen:
+        assert thread is not threading.main_thread()
+        assert (err["over"], err["invalid"], err["divide"]) == ("raise",) * 3, name
+
+
+def test_cells_finishing_out_of_order_keep_matrix_order(tmp_path, monkeypatch, three_workers):
+    matrix = ExperimentMatrix(settings=("noisy-noisy", "clean-noisy", "clean-clean"),
+                              seeds=(1, 0))
+    ref_log = []
+    ref = run_experiment(tmp_path / "ref", matrix, **MICRO, log=ref_log.append)
+    # The first pretrain cell (wlm) and the first fine-tune cell of each
+    # (training set, objective) (seed 1) finish after the cells behind them.
+    wrap(monkeypatch, "pretrain", lambda a, kw: time.sleep(0.3 * (a[4] == WLM)))
+    wrap(monkeypatch, "finetune", lambda a, kw: time.sleep(0.3 * (kw["seed"] == SEED_1)))
+    log = []
+    report = run_experiment(tmp_path / "exp", matrix, **MICRO, log=log.append)
+    assert report.records == ref.records
+    assert log == ref_log
+    for name in ("results.jsonl", "report.json", "report.txt",
+                 "pretrain_wlm.jsonl", "pretrain_mlm.jsonl"):
+        assert (tmp_path / "exp" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+
+WLM = WarpConfig.for_objective("wlm")
+SEED_1 = derive_seed(MICRO["seed"], 7, 1)  # run_experiment's fine-tune seed for seed 1
+
+
+def test_a_record_equals_its_cell_run_serially(tmp_path):
+    report = run_experiment(tmp_path / "exp", ExperimentMatrix(seeds=(0, 1)), **MICRO, log=None)
+    vocab, corpus_text, (train, val, test) = write_synthetic_data(
+        tmp_path / "data", MICRO["n_corpus"], MICRO["n_train"], MICRO["n_val"],
+        MICRO["n_test"], MICRO["seed"])
+    train_sents, val_sents = split_validation(
+        corpus_from_text(corpus_text, vocab).sentences, 0.1)
+    encoder, _ = pretrain(train_sents, val_sents, vocab, ModelConfig.desk(len(vocab)),
+                          WarpConfig.for_objective("mlm"), epochs=MICRO["pretrain_epochs"],
+                          batch_size=32, lr=1e-3, seed=derive_seed(MICRO["seed"], 6))
+    model, _ = finetune(encoder, train, val, epochs=MICRO["finetune_epochs"],
+                        batch_size=16, lr=5e-4, seed=SEED_1)
+    m = evaluate_slu(model, test)
+    [record] = [r for r in report.records
+                if (r.setting, r.objective, r.seed) == ("clean-clean", "mlm", 1)]
+    assert record == RunRecord("mlm", "clean-clean", 1, m.intent_accuracy, m.slot_f1,
+                               m.joint_accuracy)
+
+
+class CellFailure(Exception):
+    pass
+
+
+def test_the_first_failing_cell_in_matrix_order_raises_its_own_exception(
+        tmp_path, monkeypatch, three_workers):
+    first, later = CellFailure("seed 1"), CellFailure("seed 0")
+
+    def fail(a, kw):
+        if kw["seed"] == SEED_1:
+            time.sleep(0.3)  # fails after the cell behind it
+            raise first
+        raise later
+
+    wrap(monkeypatch, "finetune", fail)
+    with pytest.raises(CellFailure) as caught:
+        run_experiment(tmp_path / "exp", ExperimentMatrix(seeds=(1, 0)), **MICRO, log=None)
+    assert caught.value is first
+
+
+@pytest.fixture
+def openblas():
+    """The first loaded OpenBLAS's (get, set) thread-count pair, set to 2
+    threads for the test and restored afterwards."""
+    controls = warplm.experiment._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded")
+    get, set_ = controls[0]
+    old = get()
+    set_(2)
+    yield get
+    set_(old)
+
+
+def test_blas_threads_are_pinned_during_the_run_and_restored(tmp_path, monkeypatch, openblas):
+    during = []
+    wrap(monkeypatch, "finetune", lambda a, kw: during.append(openblas()))
+    run_experiment(tmp_path / "ok", ExperimentMatrix(seeds=(0,)), **MICRO, log=None)
+    assert during == [1] * 4
+    assert openblas() == 2
+
+    def fail(a, kw):
+        raise CellFailure()
+
+    wrap(monkeypatch, "finetune", fail)
+    with pytest.raises(CellFailure):
+        run_experiment(tmp_path / "failed", ExperimentMatrix(seeds=(0,)), **MICRO, log=None)
+    assert openblas() == 2
