@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf
 
 from ..textcore import INS_ID
 from .model import EncoderModel
@@ -34,6 +33,41 @@ NEG_INF = -1e9  # additive score for PAD keys; exp() underflows to exactly 0
 # to the array's dtype, so GELU of a float32 array stays float32.
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# Eigen's and XLA's float32 erf (generic_fast_erf_float): on x clamped to
+# [-4, 4], erf(x) ~ x * P(x^2) / Q(x^2); float32 erf rounds to +-1 beyond.
+# Highest power first, for Horner's rule.
+_ERF32_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+            -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+            -1.60960333262415e-02)
+_ERF32_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+            -7.37332916720468e-03, -1.42647390514189e-02)
+
+
+def _horner(x2: np.ndarray, coeffs) -> np.ndarray:
+    out = x2 * coeffs[0]
+    out += coeffs[1]
+    for c in coeffs[2:]:
+        out *= x2
+        out += c
+    return out
+
+
+def erf(x: np.ndarray) -> np.ndarray:
+    """erf, keeping the dtype. float32 uses the rational approximation
+    above (max abs error about 5e-7, exactly odd, clipped to [-1, 1]) in
+    numpy ops; any other dtype uses scipy's erf, imported on first use, so
+    float32 training never loads scipy."""
+    if x.dtype != np.float32:
+        from scipy.special import erf as scipy_erf
+
+        return scipy_erf(x)
+    x = np.clip(x, -4.0, 4.0)
+    x2 = x * x
+    p = _horner(x2, _ERF32_P)
+    p *= x
+    p /= _horner(x2, _ERF32_Q)
+    return np.clip(p, -1.0, 1.0, out=p)
 
 
 def _gelu(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,13 @@
 import math
+import subprocess
+import sys
+import textwrap
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import erf
+from scipy.special import erf as scipy_erf
 
 from warplm.nnet import (
     AdamState,
@@ -72,7 +76,7 @@ def test_gelu_grad_matches_fd():
     np.testing.assert_allclose(_gelu_grad(x, _gelu(x)[1]), fd, atol=1e-8)
 
 
-def gelu_and_grad_two_erf(u):
+def gelu_and_grad_two_erf(u, erf):
     """GELU and its derivative, each computing its own erf (the reference
     for the erf that `_gelu` hands to `_gelu_grad`)."""
     inv_sqrt2, inv_sqrt2pi = 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0 * math.pi)
@@ -81,11 +85,13 @@ def gelu_and_grad_two_erf(u):
     return a, g
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_gelu_grad_from_the_forward_erf_is_bit_identical(dtype):
+# float32 GELU uses the package's own erf, float64 GELU scipy's
+@pytest.mark.parametrize("dtype, erf", [(np.float32, warplm.nnet.encoder.erf),
+                                        (np.float64, scipy_erf)])
+def test_gelu_grad_from_the_forward_erf_is_bit_identical(dtype, erf):
     u = np.random.default_rng(0).normal(0.0, 2.0, size=(3, 5, 12)).astype(dtype)
     a, phi2 = _gelu(u)
-    ref_a, ref_g = gelu_and_grad_two_erf(u)
+    ref_a, ref_g = gelu_and_grad_two_erf(u, erf)
     g = _gelu_grad(u, phi2)
     assert a.dtype == phi2.dtype == g.dtype == dtype
     assert a.tobytes() == ref_a.tobytes()
@@ -105,6 +111,54 @@ def test_one_erf_call_per_layer_per_training_step(monkeypatch):
     ids, pad, labels, pm = tiny_batch()
     lm_loss_and_grads(tiny_model(), ids, pad, labels, pm)
     assert len(calls) == TINY.n_layers
+
+
+ERF32_EDGES = np.array([0.0, 4.0, -4.0, 1e30, -1e30, np.inf, -np.inf], np.float32)
+
+
+def erf32_samples():
+    normal = np.random.default_rng(0).normal(0.0, 2.0, size=200_000).astype(np.float32)
+    return np.concatenate([normal, ERF32_EDGES])
+
+
+def test_float32_erf_matches_float64_erf():
+    x = erf32_samples()
+    y = warplm.nnet.encoder.erf(x)
+    assert y.dtype == np.float32
+    assert np.max(np.abs(y.astype(np.float64) - scipy_erf(x.astype(np.float64)))) <= 5e-7
+    np.testing.assert_array_equal(warplm.nnet.encoder.erf(ERF32_EDGES),
+                                  [0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+
+
+def test_float32_erf_is_bounded_and_exactly_odd():
+    x = erf32_samples()
+    y = warplm.nnet.encoder.erf(x)
+    assert np.all(np.abs(y) <= 1.0)
+    assert warplm.nnet.encoder.erf(-x).tobytes() == (-y).tobytes()
+
+
+def test_float32_training_step_does_not_import_scipy():
+    src = Path(warplm.nnet.encoder.__file__).resolve().parents[2]
+    code = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {str(src)!r})
+        import numpy as np
+        import warplm.cli  # imports every module of the package
+        from warplm.nnet import ModelConfig, init_model, lm_loss_and_grads
+        cfg = ModelConfig(vocab_size=17, d_model=8, n_layers=2, n_heads=2, d_ff=12,
+                          max_len=10, dropout=0.1)
+        model = init_model(cfg, seed=0)
+        assert model.params["tok_emb"].dtype == np.float32
+        ids = np.arange(5, 12).reshape(1, 7)
+        mask = np.ones((1, 7), bool)
+        _, _, _, grads = lm_loss_and_grads(model, ids, mask, ids, mask,
+                                           dropout_rng=np.random.default_rng(0))
+        assert all(g.dtype == np.float32 for g in grads.values())
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True).stdout
+    assert out == "[]\n"
 
 
 def test_layer_norm_statistics():
