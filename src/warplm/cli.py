@@ -86,9 +86,11 @@ def parse_config_file(path) -> dict:
     return out
 
 
-def resolve_run_config(args) -> RunConfig:
+def resolve_run_config(args, unread: dict[str, str] | None = None) -> RunConfig:
     """defaults < config file < explicit flags, for the settings that
-    args.command reads; a config key it does not read is an error."""
+    args.command reads; a config key it does not read is an error, and so
+    is giving a setting of `unread` ({name: the option that makes it
+    unread}) as a flag or a key."""
     names = RUN_SETTINGS[args.command]
     file_vals = parse_config_file(args.config) if args.config else {}
     unused = [k for k in file_vals if k not in names]
@@ -96,6 +98,9 @@ def resolve_run_config(args) -> RunConfig:
         raise ValueError(f"{args.config}: config key {unused[0]!r} is not used by "
                          f"{args.command}")
     flag_vals = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+    for name, option in (unread or {}).items():
+        if name in file_vals or name in flag_vals:
+            raise ValueError(f"{name} is not read with {option}")
     rc = dataclasses.replace(RunConfig(), **{**file_vals, **flag_vals})
     if rc.objective not in experiment.OBJECTIVES:
         raise ValueError(f"objective must be mlm or wlm, got {rc.objective!r}")
@@ -125,7 +130,9 @@ def cmd_build_vocab(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    rc = resolve_run_config(args)
+    # --val-corpus replaces the held-out split of the corpus
+    unread = {"val_fraction": "--val-corpus"} if args.val_corpus else {}
+    rc = resolve_run_config(args, unread)
     if rc.epochs < 1:  # pretrain() accepts 0 and returns the initialized model
         raise ValueError(f"epochs must be >= 1, got {rc.epochs}")
     vocab = textcore.load_vocab(args.vocab)
@@ -155,7 +162,8 @@ def cmd_pretrain(args) -> int:
     save_encoder(args.out, model, vocab.content_hash,
                  extra={"objective": rc.objective})
     textcore.write_json(args.out + ".runconfig.json",
-                        {k: getattr(rc, k) for k in RUN_SETTINGS[args.command]})
+                        {k: getattr(rc, k) for k in RUN_SETTINGS[args.command]
+                         if k not in unread})
     print(f"wrote {args.out} ({rc.objective}, {rc.epochs} epochs)")
     return 0
 

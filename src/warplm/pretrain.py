@@ -2,8 +2,8 @@
 
 Determinism contract: with a fixed seed the whole run is reproducible.
 Training warps are re-drawn each epoch (seed derived from run seed, epoch,
-sentence index); validation warps are drawn once from the run seed and kept
-fixed so perplexity is comparable across epochs.
+sentence index); validation warps are drawn once from the run seed, before
+the first step, and kept fixed so perplexity is comparable across epochs.
 """
 
 from __future__ import annotations
@@ -72,17 +72,25 @@ def _warp_corpus(sentences, warp_cfg, vocab, base_seed, tag):
     ]
 
 
-def evaluate_lm(
-    model: EncoderModel,
+def validation_warps(
     sentences: list[list[int]],
     warp_cfg: WarpConfig,
     vocab: Vocab,
     seed: int,
-    batch_size: int = 64,
-):
-    """Corpus-level (perplexity, accuracy) over all predicted positions,
-    under warps drawn deterministically from `seed`."""
+    max_len: int,
+) -> list[WarpedExample]:
+    """The fixed warps `evaluate_lm` scores, drawn from `seed` alone.
+    Raises ValueError if none of them predicts a position within max_len."""
     examples = _warp_corpus(sentences, warp_cfg, vocab, seed, _SEED_VAL_WARP)
+    if not any(any(ex.predict_mask[:max_len]) for ex in examples):
+        raise ValueError("the validation warps predict no position "
+                         "(the validation sentences are too few or too short)")
+    return examples
+
+
+def evaluate_lm(model: EncoderModel, examples: list[WarpedExample], batch_size: int = 64):
+    """Corpus-level (perplexity, accuracy) over all predicted positions of
+    the warped `examples`."""
     total_nll = 0.0
     total_correct = 0.0
     total_pred = 0
@@ -127,7 +135,8 @@ def pretrain(
 
     Batches that end up with zero predicted positions are skipped. The
     [INS] embedding row is frozen throughout (see nnet.encoder). With
-    epochs=0 the model is returned as initialized.
+    epochs=0 the model is returned as initialized. Otherwise validation
+    warps that predict nothing raise ValueError before the first step.
     """
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
@@ -137,6 +146,9 @@ def pretrain(
         raise ValueError("empty corpus")
     if not val_sentences:
         raise ValueError("empty validation corpus")
+    val_examples = validation_warps(val_sentences, warp_cfg, vocab,
+                                    derive_seed(seed, _SEED_VAL_WARP),
+                                    model_cfg.max_len) if epochs else []
     model = init_model(model_cfg, derive_seed(seed, _SEED_INIT))
     adam = init_adam(model, lr=lr)
     history: list[EpochStats] = []
@@ -162,9 +174,7 @@ def pretrain(
             step(model, grads, adam)
             nll_sum += loss * n_pred
             n_pred_sum += n_pred
-        val_ppl, val_acc = evaluate_lm(
-            model, val_sentences, warp_cfg, vocab, derive_seed(seed, _SEED_VAL_WARP), batch_size
-        )
+        val_ppl, val_acc = evaluate_lm(model, val_examples, batch_size)
         row = EpochStats(epoch, nll_sum / max(1, n_pred_sum), val_ppl, val_acc)
         history.append(row)
         if log is not None:

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import warplm.pretrain
+
 from warplm.cli import RunConfig, main, parse_config_file, resolve_run_config, build_parser
 from warplm.nnet import (
     ModelConfig, init_model, load_checkpoint, load_encoder, save_checkpoint, save_encoder,
@@ -503,6 +505,49 @@ def test_pretrain_rejects_empty_validation_corpus_before_training(
     assert code == 2 and out == ""
     assert err == "error: empty validation corpus\n"
     assert list(tmp_path.iterdir()) == [empty]
+
+
+def test_pretrain_rejects_validation_warps_that_predict_nothing_before_training(
+        workspace, tmp_path, capsys, monkeypatch):
+    one_word = tmp_path / "v.txt"
+    one_word.write_text("flight\n")
+    steps = []
+    real_step = warplm.pretrain.lm_loss_and_grads
+    monkeypatch.setattr(warplm.pretrain, "lm_loss_and_grads",
+                        lambda *a, **k: steps.append(1) or real_step(*a, **k))
+    argv = command_argv("pretrain", workspace, tmp_path / "x.ckpt")
+    code, out, err = run(capsys, *argv, "--val-corpus", str(one_word))
+    assert code == 2 and out == ""
+    assert err.startswith("error: the validation warps predict no position")
+    assert err.strip().count("\n") == 0, err
+    assert steps == []
+    assert list(tmp_path.iterdir()) == [one_word]
+
+
+@pytest.mark.parametrize("given_as", ["flag", "config key"])
+def test_pretrain_rejects_val_fraction_with_val_corpus_before_reading_files(
+        tmp_path, capsys, given_as):
+    missing = tmp_path / "missing"
+    argv = ["pretrain", "--corpus", str(missing / "c.txt"), "--vocab", str(missing / "v.txt"),
+            "--val-corpus", str(missing / "val.txt"), "--out", str(tmp_path / "x.ckpt")]
+    if given_as == "flag":
+        argv += ["--val-fraction", "-3"]
+    else:
+        (tmp_path / "run.cfg").write_text("val_fraction = 0.2\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: val_fraction is not read with --val-corpus\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["run.cfg"] if given_as == "config key" else [])
+
+
+def test_pretrain_with_val_corpus_records_no_val_fraction(workspace, tmp_path, capsys):
+    data = workspace / "data"
+    argv = command_argv("pretrain", workspace, tmp_path / "x.ckpt")
+    assert run(capsys, *argv, "--val-corpus", str(data / "corpus.txt"))[0] == 0
+    runconfig = json.loads((tmp_path / "x.ckpt.runconfig.json").read_text())
+    assert set(runconfig) == USED_SETTINGS["pretrain"] - {"val_fraction"}
 
 
 @pytest.mark.parametrize("preset, flag", [("clean", "--p-sub"), ("test", "--p-ins")])

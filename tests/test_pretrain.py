@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from warplm.nnet import ModelConfig
-from warplm.pretrain import EpochStats, evaluate_lm, pad_batch, pretrain
+from warplm.pretrain import EpochStats, evaluate_lm, pad_batch, pretrain, validation_warps
 from warplm.synth import synth_corpus_text, synth_vocab
 from warplm.textcore import PAD_ID, corpus_from_text
 from warplm.warp import WarpConfig, WarpedExample, WarpPlan
@@ -89,9 +89,9 @@ def test_evaluate_lm_fixed_warps():
     cfg = ModelConfig.desk(len(VOCAB), n_layers=1, d_model=32, d_ff=64)
     model, _ = pretrain(sents[5:], sents[:5], VOCAB, cfg, WarpConfig.mlm(),
                         epochs=1, batch_size=16, seed=0)
-    a = evaluate_lm(model, sents[:5], WarpConfig.mlm(), VOCAB, seed=3)
-    b = evaluate_lm(model, sents[:5], WarpConfig.mlm(), VOCAB, seed=3)
-    c = evaluate_lm(model, sents[:5], WarpConfig.mlm(), VOCAB, seed=4)
+    a, b, c = (evaluate_lm(model, validation_warps(sents[:5], WarpConfig.mlm(), VOCAB,
+                                                   seed, cfg.max_len))
+               for seed in (3, 3, 4))
     assert a == b
     assert a != c  # different warps, different measurement
 
