@@ -30,6 +30,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +226,8 @@ def _openblas_thread_controls() -> list:
                 get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
                 set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
                 if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
                     controls.append((get, set_))
     return controls
 
@@ -319,7 +322,7 @@ def run_experiment(
     # The cells call `pretrain`, `finetune` and `evaluate_slu` through this
     # module's globals, looked up when a cell runs.
     def pretrain_cell(obj):
-        return lambda: pretrain(
+        return pretrain(
             train_sents, val_sents, vocab, model_cfg, WarpConfig.for_objective(obj),
             epochs=pretrain_epochs, batch_size=32, lr=1e-3, seed=derive_seed(seed, 6),
         )
@@ -335,29 +338,27 @@ def run_experiment(
     ]
 
     def finetune_cell(kind, obj, s):
-        def cell():
-            ft_train, ft_val = train_sets[kind]
-            model, _ = finetune(
-                encoders[obj], ft_train, ft_val,
-                epochs=finetune_epochs, batch_size=16, lr=5e-4,
-                seed=derive_seed(seed, 7, s),
-            )
-            return {setting: evaluate_slu(model, test_sets[setting.split("-")[1]])
-                    for setting in matrix.settings if setting.startswith(kind)}
-        return cell
+        ft_train, ft_val = train_sets[kind]
+        model, _ = finetune(
+            encoders[obj], ft_train, ft_val,
+            epochs=finetune_epochs, batch_size=16, lr=5e-4,
+            seed=derive_seed(seed, 7, s),
+        )
+        return {setting: evaluate_slu(model, test_sets[setting.split("-")[1]])
+                for setting in matrix.settings if setting.startswith(kind)}
 
     with _one_blas_thread():
         if log:
             for obj in matrix.objectives:
                 log(f"pretraining objective={obj} ({pretrain_epochs} epochs)")
         encoders: dict[str, EncoderModel] = {}
-        pretrained = _run_cells([pretrain_cell(obj) for obj in matrix.objectives])
+        pretrained = _run_cells([partial(pretrain_cell, obj) for obj in matrix.objectives])
         for obj, (model, history) in zip(matrix.objectives, pretrained):
             encoders[obj] = model
             write_jsonl(out / f"pretrain_{obj}.jsonl", history)
 
         scores = {}  # (setting, objective, seed) -> SLUMetrics
-        finetuned = _run_cells([finetune_cell(*key) for key in finetune_keys])
+        finetuned = _run_cells([partial(finetune_cell, *key) for key in finetune_keys])
         for (_, obj, s), by_setting in zip(finetune_keys, finetuned):
             for setting, metrics in by_setting.items():
                 scores[setting, obj, s] = metrics
