@@ -156,15 +156,21 @@ MICRO = dict(n_train=24, n_val=8, n_test=12, n_corpus=80,
              pretrain_epochs=1, finetune_epochs=1, seed=0)
 
 
+def wrap(monkeypatch, name, before):
+    """Replace warplm.experiment.<name> by a wrapper that calls
+    before(args, kwargs) and then the real function."""
+    real = getattr(warplm.experiment, name)
+
+    def wrapper(*args, **kwargs):
+        before(args, kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(warplm.experiment, name, wrapper)
+
+
 def count_finetunes(monkeypatch):
     calls = []
-    real_finetune = warplm.experiment.finetune
-
-    def counting_finetune(*args, **kwargs):
-        calls.append(kwargs["seed"])
-        return real_finetune(*args, **kwargs)
-
-    monkeypatch.setattr(warplm.experiment, "finetune", counting_finetune)
+    wrap(monkeypatch, "finetune", lambda a, kw: calls.append(kw["seed"]))
     return calls
 
 
@@ -209,18 +215,6 @@ def test_shared_fine_tunes_keep_matrix_order_and_values(tmp_path, monkeypatch):
 
 
 # ------------------------------------------------------------ cell pool
-
-def wrap(monkeypatch, name, before):
-    """Replace warplm.experiment.<name> by a wrapper that calls
-    before(args, kwargs) and then the real function."""
-    real = getattr(warplm.experiment, name)
-
-    def wrapper(*args, **kwargs):
-        before(args, kwargs)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(warplm.experiment, name, wrapper)
-
 
 @pytest.fixture
 def three_workers(monkeypatch):
