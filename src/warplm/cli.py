@@ -40,12 +40,12 @@ class RunConfig:
     batch_size: int = 32
     lr: float = 1e-3
     seed: int = 0
-    d_model: int = 64
-    n_layers: int = 2
-    n_heads: int = 4
-    d_ff: int = 256
-    max_len: int = 64
-    dropout: float = 0.1
+    d_model: int = ModelConfig.d_model
+    n_layers: int = ModelConfig.n_layers
+    n_heads: int = ModelConfig.n_heads
+    d_ff: int = ModelConfig.d_ff
+    max_len: int = ModelConfig.max_len
+    dropout: float = ModelConfig.dropout
     p_select: float = 0.15
     val_fraction: float = 0.1
     freeze_encoder: bool = False
@@ -189,6 +189,8 @@ def cmd_corrupt(args) -> int:
                          "give a preset or custom rates")
     vocab = textcore.load_vocab(args.vocab)
     utts = slu.load_slu_file(args.data, vocab)
+    if not utts:
+        raise ValueError(f"{args.data}: empty dataset")
     if args.rates:
         noise = {"train_val": asrsim.NoiseConfig.train_val,
                  "test": asrsim.NoiseConfig.test,

@@ -206,36 +206,26 @@ def _usable_cpus() -> int:
 
 
 def _openblas_thread_controls() -> list:
-    """(get, set) thread-count functions of every OpenBLAS loaded in this
-    process, found by the symbols each exports (numpy's bundled copy names
-    them scipy_openblas_*64_). Empty where none is found or the process has
-    no /proc/self/maps."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return []
-    controls = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix in ("openblas", "scipy_openblas"):
-            for suffix in ("", "64_"):
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                if get is not None and set_ is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    set_.argtypes, set_.restype = [ctypes.c_int], None
-                    controls.append((get, set_))
-    return controls
+    """[(get, set)] thread-count functions of numpy's OpenBLAS, looked up
+    through numpy's extension module (dlsym also searches the libraries it
+    links) under the names of numpy's wheel (scipy_openblas_*64_) or of a
+    distribution build (openblas_*, openblas_*64_). Empty where none is
+    found."""
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", ""), ("openblas", "64_")):
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return [(get, set_)]
+    return []
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Pin every loaded OpenBLAS to one thread and restore the old counts
-    on exit: pool workers already use every CPU, and a multi-threaded BLAS
+    """Pin numpy's OpenBLAS to one thread and restore the old count on
+    exit: pool workers already use every CPU, and a multi-threaded BLAS
     under each of them oversubscribes it."""
     controls = _openblas_thread_controls()
     old = [get() for get, _ in controls]

@@ -53,15 +53,15 @@ def _horner(x2: np.ndarray, coeffs) -> np.ndarray:
     return out
 
 
+_libm_erf = np.frompyfunc(math.erf, 1, 1)
+
+
 def erf(x: np.ndarray) -> np.ndarray:
     """erf, keeping the dtype. float32 uses the rational approximation
     above (max abs error about 5e-7, exactly odd, clipped to [-1, 1]) in
-    numpy ops; any other dtype uses scipy's erf, imported on first use, so
-    float32 training never loads scipy."""
+    numpy ops; any other dtype uses the C library's erf, element by element."""
     if x.dtype != np.float32:
-        from scipy.special import erf as scipy_erf
-
-        return scipy_erf(x)
+        return np.asarray(_libm_erf(x), dtype=x.dtype)
     x = np.clip(x, -4.0, 4.0)
     x2 = x * x
     p = _horner(x2, _ERF32_P)

@@ -385,6 +385,8 @@ def finetune(
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if not train_utts:
         raise ValueError("empty corpus")
+    if not val_utts:
+        raise ValueError("empty validation set")
     intents, tags = label_inventory(train_utts + val_utts)
     model = init_slu_model(encoder.copy(), intents, tags, seed)
     trainable = (

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import warplm.pretrain
+import warplm.slu
 
 from warplm.cli import RunConfig, main, parse_config_file, resolve_run_config, build_parser
 from warplm.nnet import (
@@ -507,6 +508,23 @@ def test_pretrain_rejects_empty_validation_corpus_before_training(
     assert list(tmp_path.iterdir()) == [empty]
 
 
+def test_finetune_rejects_empty_validation_set_before_training(
+        workspace, tmp_path, capsys, monkeypatch):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("\n")
+    steps = []
+    real_step = warplm.slu.slu_loss_and_grads
+    monkeypatch.setattr(warplm.slu, "slu_loss_and_grads",
+                        lambda *a, **k: steps.append(1) or real_step(*a, **k))
+    argv = command_argv("finetune", workspace, tmp_path / "x.ckpt")
+    argv[argv.index("--val") + 1] = str(empty)
+    code, out, err = run(capsys, *argv, "--epochs", "3")
+    assert code == 2 and out == ""
+    assert err == "error: empty validation set\n"
+    assert steps == []
+    assert list(tmp_path.iterdir()) == [empty]
+
+
 def test_pretrain_rejects_validation_warps_that_predict_nothing_before_training(
         workspace, tmp_path, capsys, monkeypatch):
     one_word = tmp_path / "v.txt"
@@ -560,6 +578,17 @@ def test_corrupt_rejects_preset_with_custom_rate(workspace, tmp_path, capsys, pr
     assert err.startswith(f"error: --rates and {flag} are exclusive")
     assert err.strip().count("\n") == 0, err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_corrupt_rejects_empty_dataset_before_output(workspace, tmp_path, capsys):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("")
+    code, out, err = run(capsys, "corrupt", "--data", str(empty),
+                         "--vocab", str(workspace / "data" / "vocab.txt"),
+                         "--out", str(tmp_path / "noisy.tsv"), "--rates", "test")
+    assert code == 2 and out == ""
+    assert err == f"error: {empty}: empty dataset\n"
+    assert list(tmp_path.iterdir()) == [empty]
 
 
 def load_pipeline_digest():

@@ -303,11 +303,13 @@ def test_the_first_failing_cell_in_matrix_order_raises_its_own_exception(
 
 @pytest.fixture
 def openblas():
-    """The first loaded OpenBLAS's (get, set) thread-count pair, set to 2
-    threads for the test and restored afterwards."""
+    """numpy's OpenBLAS thread-count getter, set to 2 threads for the test
+    and restored afterwards. Skips only where numpy is not built on
+    OpenBLAS; where it is, a lookup that finds nothing fails."""
+    if "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
+        pytest.skip("numpy is not built on OpenBLAS")
     controls = warplm.experiment._openblas_thread_controls()
-    if not controls:
-        pytest.skip("no OpenBLAS loaded")
+    assert controls, "numpy's OpenBLAS thread-count functions were not found"
     get, set_ = controls[0]
     old = get()
     set_(2)

@@ -89,9 +89,7 @@ def gelu_and_grad_two_erf(u, erf):
 def test_gelu_grad_from_the_forward_erf_is_bit_identical(dtype):
     u = np.random.default_rng(0).normal(0.0, 2.0, size=(3, 5, 12)).astype(dtype)
     a, phi2 = _gelu(u)
-    # float32 GELU uses the package's own erf, float64 GELU scipy's
-    erf = warplm.nnet.encoder.erf if dtype == np.float32 else scipy_erf
-    ref_a, ref_g = gelu_and_grad_two_erf(u, erf)
+    ref_a, ref_g = gelu_and_grad_two_erf(u, warplm.nnet.encoder.erf)
     g = _gelu_grad(u, phi2)
     assert a.dtype == phi2.dtype == g.dtype == dtype
     assert a.tobytes() == ref_a.tobytes()
@@ -130,6 +128,15 @@ def test_float32_erf_matches_float64_erf():
                                   [0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 
 
+def test_float64_erf_matches_scipy_erf():
+    x = np.concatenate([np.random.default_rng(0).normal(0.0, 3.0, size=100_000),
+                        ERF32_EDGES.astype(np.float64)])
+    y = warplm.nnet.encoder.erf(x)
+    assert y.dtype == np.float64
+    np.testing.assert_allclose(y, scipy_erf(x), rtol=0, atol=1e-15)
+    assert warplm.nnet.encoder.erf(np.float64(0.5)).shape == ()
+
+
 def test_float32_erf_is_bounded_and_exactly_odd():
     x = erf32_samples()
     y = warplm.nnet.encoder.erf(x)
@@ -137,10 +144,12 @@ def test_float32_erf_is_bounded_and_exactly_odd():
     assert warplm.nnet.encoder.erf(-x).tobytes() == (-y).tobytes()
 
 
-def test_float32_training_step_does_not_import_scipy():
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_training_step_does_not_import_scipy(dtype):
     src = Path(warplm.nnet.encoder.__file__).resolve().parents[2]
     code = textwrap.dedent(f"""
         import sys
+        sys.modules["scipy"] = None  # any scipy import raises ImportError
         sys.path.insert(0, {str(src)!r})
         import numpy as np
         import warplm.cli  # imports every module of the package
@@ -149,12 +158,14 @@ def test_float32_training_step_does_not_import_scipy():
                           max_len=10, dropout=0.1)
         model = init_model(cfg, seed=0)
         assert model.params["tok_emb"].dtype == np.float32
+        model = model.astype(np.{dtype})
         ids = np.arange(5, 12).reshape(1, 7)
         mask = np.ones((1, 7), bool)
         _, _, _, grads = lm_loss_and_grads(model, ids, mask, ids, mask,
                                            dropout_rng=np.random.default_rng(0))
-        assert all(g.dtype == np.float32 for g in grads.values())
-        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        assert all(g.dtype == np.{dtype} for g in grads.values())
+        print(sorted(m for m, mod in sys.modules.items()
+                     if m.split(".")[0] == "scipy" and mod is not None))
     """)
     out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                          text=True).stdout
