@@ -201,22 +201,21 @@ def make_noisy_slu_set(
     config: NoiseConfig,
     vocab: Vocab,
     seed: int,
-) -> tuple[list[TaggedUtterance], list[dict], AlignmentStats]:
+) -> tuple[list[TaggedUtterance], dict, AlignmentStats]:
     """Corrupt a tagged dataset; labels follow tokens through alignment.
 
     A fully-deleted utterance is kept as a single UNK token tagged O so
     dataset size and intent labels are preserved; these are counted in the
-    sidecar. Returns (noisy utterances, per-utterance sidecar records,
-    aggregate alignment stats)."""
+    sidecar. Returns (noisy utterances, the alignment sidecar
+    {"meta", "utterances"} with one record per utterance, aggregate
+    alignment stats)."""
     noisy: list[TaggedUtterance] = []
-    sidecar: list[dict] = []
+    records: list[dict] = []
     stats = AlignmentStats()
-    n_empty = 0
     for i, u in enumerate(utts):
         rng = np.random.default_rng(derive_seed(seed, 0xA5, i))
         hyp = corrupt(u.token_ids, config, len(vocab), rng)
         fully_deleted = not hyp
-        n_empty += fully_deleted
         hyp = hyp or [UNK_ID]
         ops = align(u.token_ids, hyp)
         # the UNK stand-in carries no reference tag
@@ -224,7 +223,7 @@ def make_noisy_slu_set(
                else transfer_labels(u, hyp, ops))
         stats.add(ops, len(u.token_ids))
         noisy.append(out)
-        sidecar.append(
+        records.append(
             {
                 "index": i,
                 "fully_deleted": fully_deleted,
@@ -233,13 +232,12 @@ def make_noisy_slu_set(
                 "hyp_len": len(hyp),
             }
         )
-    sidecar_meta = {
+    meta = {
         "n_utterances": len(utts),
-        "n_fully_deleted": n_empty,
+        "n_fully_deleted": sum(r["fully_deleted"] for r in records),
         "rates": {"p_sub": config.p_sub, "p_del": config.p_del, "p_ins": config.p_ins},
     }
-    sidecar.insert(0, sidecar_meta)
-    return noisy, sidecar, stats
+    return noisy, {"meta": meta, "utterances": records}, stats
 
 
 def save_noisy_slu_set(tsv_path, align_path, noisy_set, vocab: Vocab) -> None:
@@ -247,4 +245,4 @@ def save_noisy_slu_set(tsv_path, align_path, noisy_set, vocab: Vocab) -> None:
     file, and the alignment sidecar as JSON {"meta", "wer", "utterances"}."""
     noisy, sidecar, stats = noisy_set
     save_slu_file(tsv_path, noisy, vocab)
-    write_json(align_path, {"meta": sidecar[0], "wer": stats.wer, "utterances": sidecar[1:]})
+    write_json(align_path, {**sidecar, "wer": stats.wer})

@@ -35,7 +35,7 @@ from .nnet import ModelConfig, load_encoder, save_encoder
 class RunConfig:
     """Settings of pretrain, finetune and warp-preview; see --help for meanings."""
 
-    objective: str = "wlm"
+    objective: str = warp.WarpConfig.objective
     epochs: int = 10
     batch_size: int = 32
     lr: float = 1e-3
@@ -46,7 +46,7 @@ class RunConfig:
     d_ff: int = ModelConfig.d_ff
     max_len: int = ModelConfig.max_len
     dropout: float = ModelConfig.dropout
-    p_select: float = 0.15
+    p_select: float = warp.WarpConfig.p_select
     val_fraction: float = 0.1
     freeze_encoder: bool = False
 
@@ -61,6 +61,7 @@ RUN_SETTINGS = {
     "warp-preview": ("objective", "p_select", "seed"),
 }
 _DEFAULTS = dataclasses.asdict(RunConfig())
+_BOOLS = {"true": True, "1": True, "false": False, "0": False}
 
 
 def parse_config_file(path) -> dict:
@@ -77,12 +78,11 @@ def parse_config_file(path) -> dict:
         if key not in _DEFAULTS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         ftype = type(_DEFAULTS[key])
-        if ftype is bool:
-            if value.lower() not in ("true", "false", "1", "0"):
-                raise ValueError(f"{path}:{lineno}: bad bool {value!r}")
-            out[key] = value.lower() in ("true", "1")
-        else:
-            out[key] = ftype(value)
+        try:
+            out[key] = _BOOLS[value.lower()] if ftype is bool else ftype(value)
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}:{lineno}: bad {ftype.__name__} for {key}: "
+                             f"{value!r}") from None
     return out
 
 
@@ -102,8 +102,9 @@ def resolve_run_config(args, unread: dict[str, str] | None = None) -> RunConfig:
         if name in file_vals or name in flag_vals:
             raise ValueError(f"{name} is not read with {option}")
     rc = dataclasses.replace(RunConfig(), **{**file_vals, **flag_vals})
-    if rc.objective not in experiment.OBJECTIVES:
-        raise ValueError(f"objective must be mlm or wlm, got {rc.objective!r}")
+    if rc.objective not in warp.OBJECTIVES:
+        raise ValueError(f"objective must be one of {', '.join(warp.OBJECTIVES)}, "
+                         f"got {rc.objective!r}")
     return rc
 
 
@@ -115,7 +116,15 @@ def _add_run_flags(p: argparse.ArgumentParser, command: str):
             p.add_argument(flag, dest=name, action="store_const", const=True)
         else:
             p.add_argument(flag, dest=name, type=type(_DEFAULTS[name]),
-                           choices=experiment.OBJECTIVES if name == "objective" else None)
+                           choices=tuple(warp.OBJECTIVES) if name == "objective" else None)
+
+
+def _load_slu_set(path, vocab, what: str):
+    """The utterances of an SLU file; an empty file is an error naming it."""
+    utts = slu.load_slu_file(path, vocab)
+    if not utts:
+        raise ValueError(f"{path}: empty {what}")
+    return utts
 
 
 # ------------------------------------------------------------ subcommands
@@ -154,7 +163,7 @@ def cmd_pretrain(args) -> int:
 
     model, history = pretrain_mod.pretrain(
         train_sents, val_sents, vocab, model_cfg,
-        warp.WarpConfig.for_objective(rc.objective, rc.p_select),
+        warp.WarpConfig(rc.objective, rc.p_select),
         epochs=rc.epochs, batch_size=rc.batch_size, lr=rc.lr, seed=rc.seed,
         log=log_row,
     )
@@ -170,13 +179,14 @@ def cmd_pretrain(args) -> int:
 
 def cmd_warp_preview(args) -> int:
     rc = resolve_run_config(args)
+    if rc.seed < 0:  # the seed goes to default_rng as it is, unhashed
+        raise ValueError(f"seed must be >= 0, got {rc.seed}")
     vocab = textcore.load_vocab(args.vocab)
     text = args.sentence if args.sentence is not None else sys.stdin.read()
     ids = vocab.encode(text)
     if not ids:
         raise ValueError("empty sentence")
-    ex = warp.warp(ids, warp.WarpConfig.for_objective(rc.objective, rc.p_select),
-                   vocab, rc.seed)
+    ex = warp.warp(ids, warp.WarpConfig(rc.objective, rc.p_select), vocab, rc.seed)
     print(warp.render_example(ex, vocab))
     return 0
 
@@ -188,9 +198,7 @@ def cmd_corrupt(args) -> int:
         raise ValueError(f"--rates and --{given[0].replace('_', '-')} are exclusive: "
                          "give a preset or custom rates")
     vocab = textcore.load_vocab(args.vocab)
-    utts = slu.load_slu_file(args.data, vocab)
-    if not utts:
-        raise ValueError(f"{args.data}: empty dataset")
+    utts = _load_slu_set(args.data, vocab, "dataset")
     if args.rates:
         noise = {"train_val": asrsim.NoiseConfig.train_val,
                  "test": asrsim.NoiseConfig.test,
@@ -201,7 +209,7 @@ def cmd_corrupt(args) -> int:
     asrsim.save_noisy_slu_set(args.out, args.out + ".align.json", noisy_set, vocab)
     noisy, sidecar, stats = noisy_set
     print(f"wrote {args.out}: {len(noisy)} utterances wer={stats.wer:.4f} "
-          f"fully_deleted={sidecar[0]['n_fully_deleted']}")
+          f"fully_deleted={sidecar['meta']['n_fully_deleted']}")
     return 0
 
 
@@ -209,8 +217,8 @@ def cmd_finetune(args) -> int:
     rc = resolve_run_config(args)
     vocab = textcore.load_vocab(args.vocab)
     encoder, _ = load_encoder(args.checkpoint, expect_vocab_hash=vocab.content_hash)
-    train = slu.load_slu_file(args.train, vocab)
-    val = slu.load_slu_file(args.val, vocab)
+    train = _load_slu_set(args.train, vocab, "training set")
+    val = _load_slu_set(args.val, vocab, "validation set")
 
     def log_row(row):
         print(f"epoch {row.epoch}: loss={row.train_loss:.4f} "
@@ -234,7 +242,7 @@ def cmd_finetune(args) -> int:
 def cmd_evaluate(args) -> int:
     vocab = textcore.load_vocab(args.vocab)
     model, _ = slu.load_slu(args.checkpoint, expect_vocab_hash=vocab.content_hash)
-    utts = slu.load_slu_file(args.data, vocab)
+    utts = _load_slu_set(args.data, vocab, "evaluation set")
     m = slu.evaluate_slu(model, utts)
     if args.out:
         textcore.write_json(args.out, dataclasses.asdict(m))

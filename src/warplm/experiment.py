@@ -42,10 +42,10 @@ from .seeding import derive_seed
 from .slu import evaluate_slu, finetune, save_slu_file
 from .synth import synth_corpus_text, synth_slu_splits, synth_vocab
 from .textcore import corpus_from_text, save_vocab, write_json, write_jsonl
-from .warp import WarpConfig
+from .warp import OBJECTIVES as WARP_OBJECTIVES, WarpConfig
 
 SETTINGS = ("clean-clean", "clean-noisy", "noisy-noisy")
-OBJECTIVES = ("wlm", "mlm")
+OBJECTIVES = tuple(WARP_OBJECTIVES)
 METRICS = ("intent_accuracy", "slot_f1", "joint_accuracy")
 
 
@@ -313,7 +313,7 @@ def run_experiment(
     # module's globals, looked up when a cell runs.
     def pretrain_cell(obj):
         return pretrain(
-            train_sents, val_sents, vocab, model_cfg, WarpConfig.for_objective(obj),
+            train_sents, val_sents, vocab, model_cfg, WarpConfig(obj),
             epochs=pretrain_epochs, batch_size=32, lr=1e-3, seed=derive_seed(seed, 6),
         )
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -9,10 +10,6 @@ import numpy as np
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
-
-
-def _param_dict(model_or_params) -> dict[str, np.ndarray]:
-    return getattr(model_or_params, "params", model_or_params)
 
 
 @dataclass
@@ -23,8 +20,11 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
 
-def init_adam(model_or_params, lr: float = 1e-3) -> AdamState:
-    params = _param_dict(model_or_params)
+def init_adam(params: dict[str, np.ndarray], lr: float = 1e-3) -> AdamState:
+    """Zero moments for `params`. Raises ValueError for a negative or
+    non-finite learning rate, so no step runs with one."""
+    if not (math.isfinite(lr) and lr >= 0.0):
+        raise ValueError(f"lr must be finite and >= 0, got {lr}")
     return AdamState(
         lr=lr, t=0,
         m={k: np.zeros_like(p) for k, p in params.items()},
@@ -32,13 +32,12 @@ def init_adam(model_or_params, lr: float = 1e-3) -> AdamState:
     )
 
 
-def step(model_or_params, grads: dict[str, np.ndarray], state: AdamState):
-    """One in-place Adam update. Returns the model/params it was given.
+def step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState) -> None:
+    """One in-place Adam update of `params`.
 
     A parameter whose gradient is exactly zero (all moments zero) is left
     bit-identical: m_hat = 0 makes the update exactly 0.0.
     """
-    params = _param_dict(model_or_params)
     state.t += 1
     c1 = 1.0 - BETA1 ** state.t
     c2 = 1.0 - BETA2 ** state.t
@@ -54,4 +53,3 @@ def step(model_or_params, grads: dict[str, np.ndarray], state: AdamState):
         v *= BETA2
         v += (1.0 - BETA2) * (g * g)
         p -= state.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
-    return model_or_params

@@ -90,15 +90,24 @@ def _layer_norm(x, g, b):
     return g * xhat + b, (xhat, inv)
 
 
-def _layer_norm_backward(dy, g, cache):
+def _layer_norm_backward(grads, P, name, dy, cache):
+    """Add the gradients of layer norm `name` ({name}.g, {name}.b) to
+    `grads`; returns dLoss/dx."""
     xhat, inv = cache
-    dg = np.sum(dy * xhat, axis=(0, 1))
-    db = np.sum(dy, axis=(0, 1))
-    dxhat = dy * g
+    grads[name + ".g"] += np.sum(dy * xhat, axis=(0, 1))
+    grads[name + ".b"] += np.sum(dy, axis=(0, 1))
+    dxhat = dy * P[name + ".g"]
     m1 = dxhat.mean(axis=-1, keepdims=True)
     m2 = np.mean(dxhat * xhat, axis=-1, keepdims=True)
-    dx = inv * (dxhat - m1 - xhat * m2)
-    return dx, dg, db
+    return inv * (dxhat - m1 - xhat * m2)
+
+
+def _linear_backward(grads, P, w, b, x, dy):
+    """Add the gradients of y = x @ P[w] + P[b] (x, dy [B,T,*]) to `grads`;
+    returns dLoss/dx."""
+    grads[b] += dy.sum(axis=(0, 1))
+    grads[w] += np.tensordot(x, dy, axes=([0, 1], [0, 1]))
+    return dy @ P[w].T
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -218,9 +227,7 @@ def encoder_backward(
     D = cfg.d_model
     grads = {name: np.zeros_like(p) for name, p in P.items()}
 
-    dh, dg, db = _layer_norm_backward(d_hidden, P["final_ln.g"], cache["lnfc"])
-    grads["final_ln.g"] += dg
-    grads["final_ln.b"] += db
+    dh = _layer_norm_backward(grads, P, "final_ln", d_hidden, cache["lnfc"])
 
     for l in reversed(range(cfg.n_layers)):
         p = f"layers.{l}."
@@ -228,26 +235,18 @@ def encoder_backward(
 
         # h_out = h_mid + drop(ffn(LN2(h_mid)))
         df = dh if c["ffn_drop"] is None else dh * c["ffn_drop"]
-        grads[p + "ffn.b2"] += df.sum(axis=(0, 1))
         # a = gelu(u), recomputed rather than cached so the cache holds no
         # more [B,T,F] arrays; these are the forward's own ops, so same bits
         a = 0.5 * c["u"] * c["phi2"]
-        grads[p + "ffn.w2"] += np.tensordot(a, df, axes=([0, 1], [0, 1]))
-        da = df @ P[p + "ffn.w2"].T
+        da = _linear_backward(grads, P, p + "ffn.w2", p + "ffn.b2", a, df)
         du = da * _gelu_grad(c["u"], c["phi2"])
-        grads[p + "ffn.b1"] += du.sum(axis=(0, 1))
-        grads[p + "ffn.w1"] += np.tensordot(c["x2"], du, axes=([0, 1], [0, 1]))
-        dx2 = du @ P[p + "ffn.w1"].T
-        dx, dg, db = _layer_norm_backward(dx2, P[p + "ln2.g"], c["ln2c"])
-        grads[p + "ln2.g"] += dg
-        grads[p + "ln2.b"] += db
-        dh = dh + dx
+        dx2 = _linear_backward(grads, P, p + "ffn.w1", p + "ffn.b1", c["x2"], du)
+        dh = dh + _layer_norm_backward(grads, P, p + "ln2", dx2, c["ln2c"])
 
         # h_mid = h_in + drop(attn(LN1(h_in)))
         dattn = dh if c["attn_drop"] is None else dh * c["attn_drop"]
-        grads[p + "attn.bo"] += dattn.sum(axis=(0, 1))
-        grads[p + "attn.wo"] += np.tensordot(c["ctx"], dattn, axes=([0, 1], [0, 1]))
-        dctx = _split_heads(dattn @ P[p + "attn.wo"].T, cfg.n_heads)
+        dctx = _linear_backward(grads, P, p + "attn.wo", p + "attn.bo", c["ctx"], dattn)
+        dctx = _split_heads(dctx, cfg.n_heads)
         dprobs = dctx @ c["v"].transpose(0, 1, 3, 2)
         dv = c["probs"].transpose(0, 1, 3, 2) @ dctx
         ds = c["probs"] * (dprobs - np.sum(dprobs * c["probs"], axis=-1, keepdims=True))
@@ -255,16 +254,9 @@ def encoder_backward(
         dk = ds.transpose(0, 1, 3, 2) @ c["q"] * cache["scale"]
         dx1 = np.zeros((B, T, D), dtype=dh.dtype)
         for nm, dz in (("q", dq), ("k", dk), ("v", dv)):
-            dzm = _merge_heads(dz)
-            grads[p + f"attn.b{nm}"] += dzm.sum(axis=(0, 1))
-            grads[p + f"attn.w{nm}"] += np.tensordot(
-                c["x1"], dzm, axes=([0, 1], [0, 1])
-            )
-            dx1 += dzm @ P[p + f"attn.w{nm}"].T
-        dx, dg, db = _layer_norm_backward(dx1, P[p + "ln1.g"], c["ln1c"])
-        grads[p + "ln1.g"] += dg
-        grads[p + "ln1.b"] += db
-        dh = dh + dx
+            dx1 += _linear_backward(grads, P, p + f"attn.w{nm}", p + f"attn.b{nm}",
+                                    c["x1"], _merge_heads(dz))
+        dh = dh + _layer_norm_backward(grads, P, p + "ln1", dx1, c["ln1c"])
 
     de = dh if cache["emb_drop"] is None else dh * cache["emb_drop"]
     grads["pos_emb"][:T] += de.sum(axis=0)

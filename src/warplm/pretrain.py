@@ -150,7 +150,7 @@ def pretrain(
                                     derive_seed(seed, _SEED_VAL_WARP),
                                     model_cfg.max_len) if epochs else []
     model = init_model(model_cfg, derive_seed(seed, _SEED_INIT))
-    adam = init_adam(model, lr=lr)
+    adam = init_adam(model.params, lr=lr)
     history: list[EpochStats] = []
     for epoch in range(1, epochs + 1):
         examples = _warp_corpus(
@@ -171,7 +171,7 @@ def pretrain(
             )
             if not math.isfinite(loss):
                 raise FloatingPointError(f"divergence: loss {loss} at epoch {epoch}")
-            step(model, grads, adam)
+            step(model.params, grads, adam)
             nll_sum += loss * n_pred
             n_pred_sum += n_pred
         val_ppl, val_acc = evaluate_lm(model, val_examples, batch_size)

@@ -384,7 +384,7 @@ def finetune(
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if not train_utts:
-        raise ValueError("empty corpus")
+        raise ValueError("empty training set")
     if not val_utts:
         raise ValueError("empty validation set")
     intents, tags = label_inventory(train_utts + val_utts)

@@ -18,7 +18,7 @@ removes both.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,44 +40,6 @@ OP_ORDER = (WarpOp.MASK, WarpOp.KEEP, WarpOp.RAND, WarpOp.INSERT, WarpOp.DROP)
 IGNORE_LABEL = PAD_ID  # label filler at positions with predict_mask false
 
 
-@dataclass(frozen=True)
-class WarpConfig:
-    """Per-position selection probability and the op split among selected."""
-
-    p_select: float = 0.15
-    proportions: dict[WarpOp, float] = field(
-        default_factory=lambda: dict(WLM_PROPORTIONS)
-    )
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_select <= 1.0:
-            raise ValueError("p_select must be in [0, 1]")
-        total = 0.0
-        for op in OP_ORDER:
-            p = self.proportions.get(op, 0.0)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"proportion for {op.value} must be in [0, 1]")
-            total += p
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"proportions sum to {total}, expected 1")
-
-    @classmethod
-    def mlm(cls, p_select: float = 0.15) -> "WarpConfig":
-        return cls(p_select, dict(MLM_PROPORTIONS))
-
-    @classmethod
-    def wlm(cls, p_select: float = 0.15) -> "WarpConfig":
-        return cls(p_select, dict(WLM_PROPORTIONS))
-
-    @classmethod
-    def for_objective(cls, objective: str, p_select: float = 0.15) -> "WarpConfig":
-        if objective == "mlm":
-            return cls.mlm(p_select)
-        if objective == "wlm":
-            return cls.wlm(p_select)
-        raise ValueError(f"unknown objective {objective!r} (expected mlm or wlm)")
-
-
 MLM_PROPORTIONS = {
     WarpOp.MASK: 0.8,
     WarpOp.KEEP: 0.1,
@@ -93,6 +55,38 @@ WLM_PROPORTIONS = {
     WarpOp.INSERT: 0.1,
     WarpOp.DROP: 0.1,
 }
+
+# The pretraining objectives, each its op split among selected positions,
+# in the experiment matrix's order.
+OBJECTIVES = {"wlm": WLM_PROPORTIONS, "mlm": MLM_PROPORTIONS}
+
+
+@dataclass(frozen=True)
+class WarpConfig:
+    """A pretraining objective and the per-position selection probability."""
+
+    objective: str = "wlm"
+    p_select: float = 0.15
+
+    def __post_init__(self):
+        if self.objective not in OBJECTIVES:
+            raise ValueError(f"unknown objective {self.objective!r} "
+                             f"(expected one of {', '.join(OBJECTIVES)})")
+        if not 0.0 <= self.p_select <= 1.0:
+            raise ValueError("p_select must be in [0, 1]")
+
+    @property
+    def proportions(self) -> dict[WarpOp, float]:
+        """The op split among selected positions."""
+        return OBJECTIVES[self.objective]
+
+    @classmethod
+    def mlm(cls) -> "WarpConfig":
+        return cls("mlm")
+
+    @classmethod
+    def wlm(cls) -> "WarpConfig":
+        return cls("wlm")
 
 
 @dataclass
@@ -164,7 +158,7 @@ def sample_raw_plan(seq_len: int, config: WarpConfig, seed: int) -> WarpPlan:
         return WarpPlan(seq_len, ops)
     selected = np.flatnonzero(rng.random(seq_len) < config.p_select)
     if selected.size:
-        cum = np.cumsum([config.proportions.get(op, 0.0) for op in OP_ORDER])
+        cum = np.cumsum([config.proportions[op] for op in OP_ORDER])
         draws = rng.random(selected.size)
         buckets = np.minimum(np.searchsorted(cum, draws, side="right"), len(OP_ORDER) - 1)
         ops = {int(i): OP_ORDER[int(b)] for i, b in zip(selected, buckets)}

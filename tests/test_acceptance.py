@@ -165,7 +165,7 @@ def test_04_frozen_ins_embedding_after_500_steps():
     cfg = ModelConfig.desk(len(vocab))
     model = init_model(cfg, seed=44)
     ins_init = model.params["tok_emb"][INS_ID].copy()
-    adam = init_adam(model, lr=1e-3)
+    adam = init_adam(model.params, lr=1e-3)
     wcfg = warp.WarpConfig.wlm()
     rng = np.random.default_rng(derive_seed(4, 2))
     first_loss = last_loss = None
@@ -177,7 +177,7 @@ def test_04_frozen_ins_embedding_after_500_steps():
         if not pred.any():
             continue
         loss, _, _, grads = lm_loss_and_grads(model, ids, pad, labels, pred)
-        step(model, grads, adam)
+        step(model.params, grads, adam)
         if first_loss is None:
             first_loss = loss
         last_loss = loss
@@ -203,7 +203,7 @@ def test_05_convergence_halves_baseline_perplexity():
     ok = True
     for objective in ("mlm", "wlm"):
         _, history = pretrain(train, val, vocab, cfg,
-                              warp.WarpConfig.for_objective(objective),
+                              warp.WarpConfig(objective),
                               epochs=4, seed=55)
         hit = next((h.epoch for h in history if h.val_perplexity <= target), None)
         best = min(h.val_perplexity for h in history)

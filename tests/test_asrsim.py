@@ -15,6 +15,7 @@ from warplm.asrsim import (
     corrupt,
     edit_distance,
     make_noisy_slu_set,
+    save_noisy_slu_set,
     transfer_labels,
     wer,
 )
@@ -269,7 +270,7 @@ def test_make_noisy_slu_set_shape_and_determinism():
     assert [u.token_ids for u in noisy1] == [u.token_ids for u in noisy2]
     assert sidecar1 == sidecar2
     assert stats1.wer == stats2.wer
-    assert sidecar1[0]["n_utterances"] == 50
+    assert sidecar1["meta"]["n_utterances"] == 50
     for u, ref in zip(noisy1, utts):
         assert u.intent == ref.intent
         assert iob_is_valid(u.tags)
@@ -280,10 +281,23 @@ def test_make_noisy_full_deletion_becomes_unk():
     utts = [U([10], ["O"], "a"), U([11, 12], ["B-x", "I-x"], "b")] * 40
     cfg = NoiseConfig(p_sub=0.0, p_del=0.9, p_ins=0.0)
     noisy, sidecar, _ = make_noisy_slu_set(utts, cfg, VOCAB, seed=6)
-    assert sidecar[0]["n_fully_deleted"] > 0
-    deleted = [u for u, rec in zip(noisy, sidecar[1:]) if rec["fully_deleted"]]
+    assert sidecar["meta"]["n_fully_deleted"] > 0
+    deleted = [u for u, rec in zip(noisy, sidecar["utterances"]) if rec["fully_deleted"]]
     assert deleted
     for u in deleted:
         assert u.token_ids == [UNK_ID]
         assert u.tags == ["O"]
     assert len(noisy) == len(utts)  # dataset size preserved
+
+
+def test_saved_sidecar_layout_and_deletion_count(tmp_path):
+    utts = [U([10], ["O"], "a"), U([11, 12], ["B-x", "I-x"], "b")] * 40
+    noisy_set = make_noisy_slu_set(utts, NoiseConfig(p_sub=0.0, p_del=0.9, p_ins=0.0),
+                                   VOCAB, seed=6)
+    save_noisy_slu_set(tmp_path / "n.tsv", tmp_path / "n.align.json", noisy_set, VOCAB)
+    sidecar = json.loads((tmp_path / "n.align.json").read_text())
+    assert set(sidecar) == {"meta", "wer", "utterances"}
+    assert sidecar["wer"] == noisy_set[2].wer
+    n_deleted = sum(rec["fully_deleted"] for rec in sidecar["utterances"])
+    assert sidecar["meta"]["n_fully_deleted"] == n_deleted > 0
+    assert sidecar["meta"]["n_utterances"] == len(sidecar["utterances"]) == len(utts)

@@ -59,6 +59,18 @@ def test_parse_config_rejects_unknown_key(tmp_path):
         parse_config_file(p)
 
 
+@pytest.mark.parametrize("line, type_name", [
+    ("epochs = abc", "int"), ("lr = fast", "float"), ("freeze_encoder = maybe", "bool"),
+])
+def test_parse_config_rejects_a_value_of_the_wrong_type(tmp_path, line, type_name):
+    p = tmp_path / "run.cfg"
+    p.write_text(f"# header\n{line}\n")
+    key, value = (s.strip() for s in line.split("="))
+    with pytest.raises(ValueError) as exc:
+        parse_config_file(p)
+    assert str(exc.value) == f"{p}:2: bad {type_name} for {key}: {value!r}"
+
+
 def test_parse_config_rejects_bad_line(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("epochs 3\n")
@@ -274,6 +286,14 @@ def test_warp_preview_accepts_oov_word(workspace, capsys):
                          "book a flight to zanzibar")
     assert code == 0, err
     assert "original  book a flight to [UNK]" in out
+
+
+def test_warp_preview_rejects_negative_seed(workspace, capsys):
+    code, out, err = run(capsys, "warp-preview", "--vocab",
+                         str(workspace / "data" / "vocab.txt"), "--seed", "-1",
+                         "book a flight")
+    assert code == 2 and out == ""
+    assert err == "error: seed must be >= 0, got -1\n"
 
 
 def test_pretrain_accepts_corpus_with_oov_line(workspace, tmp_path, capsys):
@@ -520,9 +540,51 @@ def test_finetune_rejects_empty_validation_set_before_training(
     argv[argv.index("--val") + 1] = str(empty)
     code, out, err = run(capsys, *argv, "--epochs", "3")
     assert code == 2 and out == ""
-    assert err == "error: empty validation set\n"
+    assert err == f"error: {empty}: empty validation set\n"
     assert steps == []
     assert list(tmp_path.iterdir()) == [empty]
+
+
+def test_finetune_rejects_empty_training_set_naming_the_file(workspace, tmp_path, capsys):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("")
+    argv = command_argv("finetune", workspace, tmp_path / "x.ckpt")
+    argv[argv.index("--train") + 1] = str(empty)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {empty}: empty training set\n"
+    assert list(tmp_path.iterdir()) == [empty]
+
+
+def test_evaluate_rejects_empty_evaluation_set_naming_the_file(
+        workspace, tiny_checkpoints, tmp_path, capsys):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("")
+    code, out, err = run(capsys, "evaluate", "--checkpoint", str(workspace / "tiny_slu.ckpt"),
+                         "--data", str(empty), "--vocab", str(workspace / "data" / "vocab.txt"),
+                         "--out", str(tmp_path / "m.json"))
+    assert code == 2 and out == ""
+    assert err == f"error: {empty}: empty evaluation set\n"
+    assert list(tmp_path.iterdir()) == [empty]
+
+
+@pytest.mark.parametrize("command, lr, module, loss_fn", [
+    ("pretrain", "-1", warplm.pretrain, "lm_loss_and_grads"),
+    ("finetune", "nan", warplm.slu, "slu_loss_and_grads"),
+], ids=["pretrain-lr=-1", "finetune-lr=nan"])
+def test_bad_learning_rate_is_rejected_before_any_step(
+        workspace, tmp_path, capsys, monkeypatch, command, lr, module, loss_fn):
+    steps = []
+    real_fn = getattr(module, loss_fn)
+    monkeypatch.setattr(module, loss_fn,
+                        lambda *a, **k: steps.append(1) or real_fn(*a, **k))
+    argv = command_argv(command, workspace, tmp_path / "x.ckpt")
+    code, out, err = run(capsys, *argv, "--lr", lr)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: lr must be finite and >= 0, got {float(lr)}")
+    assert err.strip().count("\n") == 0, err
+    assert steps == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_pretrain_rejects_validation_warps_that_predict_nothing_before_training(

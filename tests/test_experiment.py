@@ -258,7 +258,7 @@ def test_cells_finishing_out_of_order_keep_matrix_order(tmp_path, monkeypatch, t
         assert (tmp_path / "exp" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
 
-WLM = WarpConfig.for_objective("wlm")
+WLM = WarpConfig("wlm")
 SEED_1 = derive_seed(MICRO["seed"], 7, 1)  # run_experiment's fine-tune seed for seed 1
 
 
@@ -270,7 +270,7 @@ def test_a_record_equals_its_cell_run_serially(tmp_path):
     train_sents, val_sents = split_validation(
         corpus_from_text(corpus_text, vocab).sentences, 0.1)
     encoder, _ = pretrain(train_sents, val_sents, vocab, ModelConfig.desk(len(vocab)),
-                          WarpConfig.for_objective("mlm"), epochs=MICRO["pretrain_epochs"],
+                          WarpConfig("mlm"), epochs=MICRO["pretrain_epochs"],
                           batch_size=32, lr=1e-3, seed=derive_seed(MICRO["seed"], 6))
     model, _ = finetune(encoder, train, val, epochs=MICRO["finetune_epochs"],
                         batch_size=16, lr=5e-4, seed=SEED_1)

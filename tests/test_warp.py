@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import warplm.experiment
 from warplm.seeding import derive_seed
 from warplm.textcore import (
     CLS_ID, INS_ID, MASK_ID, N_SPECIALS, PAD_ID, SPECIAL_TOKENS, UNK_ID, Vocab,
@@ -9,6 +10,7 @@ from warplm.textcore import (
 from warplm.warp import (
     IGNORE_LABEL,
     MLM_PROPORTIONS,
+    OBJECTIVES,
     OP_ORDER,
     WLM_PROPORTIONS,
     WarpConfig,
@@ -43,16 +45,22 @@ def test_op_splits_match_published_proportions():
         WarpOp.INSERT: 0.0, WarpOp.DROP: 0.0,
     }
     assert WarpConfig.wlm().p_select == 0.15
-    assert WarpConfig.for_objective("mlm").proportions == MLM_PROPORTIONS
+    assert WarpConfig("mlm").proportions == MLM_PROPORTIONS
     with pytest.raises(ValueError, match="objective"):
-        WarpConfig.for_objective("bert")
+        WarpConfig("bert")
+
+
+def test_objectives_come_from_the_one_table():
+    assert tuple(OBJECTIVES) == ("wlm", "mlm")
+    assert warplm.experiment.OBJECTIVES == tuple(OBJECTIVES)
+    for objective, proportions in OBJECTIVES.items():
+        assert WarpConfig(objective).proportions is proportions
+        assert list(proportions) == list(OP_ORDER)
 
 
 def test_config_validates_proportions():
-    with pytest.raises(ValueError, match="sum"):
-        WarpConfig(0.15, {WarpOp.MASK: 0.5})
     with pytest.raises(ValueError, match="p_select"):
-        WarpConfig(1.5)
+        WarpConfig("wlm", 1.5)
 
 
 # ---------------------------------------------------------------- legality
