@@ -102,9 +102,7 @@ def resolve_run_config(args, unread: dict[str, str] | None = None) -> RunConfig:
         if name in file_vals or name in flag_vals:
             raise ValueError(f"{name} is not read with {option}")
     rc = dataclasses.replace(RunConfig(), **{**file_vals, **flag_vals})
-    if rc.objective not in warp.OBJECTIVES:
-        raise ValueError(f"objective must be one of {', '.join(warp.OBJECTIVES)}, "
-                         f"got {rc.objective!r}")
+    warp.WarpConfig(rc.objective, rc.p_select)  # checks both
     return rc
 
 
@@ -125,6 +123,14 @@ def _load_slu_set(path, vocab, what: str):
     if not utts:
         raise ValueError(f"{path}: empty {what}")
     return utts
+
+
+def _note_truncated(path, utts, what: str, max_len: int) -> None:
+    """Say how many utterances the encoder cuts, if any."""
+    n = slu.count_truncated(utts, max_len)
+    if n:
+        print(f"note: {path}: {n} of {len(utts)} utterances in the {what} are cut "
+              f"to {max_len - 1} tokens (max_len {max_len} with [CLS])")
 
 
 # ------------------------------------------------------------ subcommands
@@ -219,6 +225,8 @@ def cmd_finetune(args) -> int:
     encoder, _ = load_encoder(args.checkpoint, expect_vocab_hash=vocab.content_hash)
     train = _load_slu_set(args.train, vocab, "training set")
     val = _load_slu_set(args.val, vocab, "validation set")
+    _note_truncated(args.train, train, "training set", encoder.config.max_len)
+    _note_truncated(args.val, val, "validation set", encoder.config.max_len)
 
     def log_row(row):
         print(f"epoch {row.epoch}: loss={row.train_loss:.4f} "
@@ -243,6 +251,7 @@ def cmd_evaluate(args) -> int:
     vocab = textcore.load_vocab(args.vocab)
     model, _ = slu.load_slu(args.checkpoint, expect_vocab_hash=vocab.content_hash)
     utts = _load_slu_set(args.data, vocab, "evaluation set")
+    _note_truncated(args.data, utts, "evaluation set", model.encoder.config.max_len)
     m = slu.evaluate_slu(model, utts)
     if args.out:
         textcore.write_json(args.out, dataclasses.asdict(m))

@@ -60,8 +60,7 @@ class ExperimentMatrix:
             if s not in SETTINGS:
                 raise ValueError(f"unknown setting {s!r} (choose from {SETTINGS})")
         for o in self.objectives:
-            if o not in OBJECTIVES:
-                raise ValueError(f"unknown objective {o!r}")
+            WarpConfig(o)
         for name in ("settings", "objectives", "seeds"):
             axis = getattr(self, name)
             if len(set(axis)) != len(axis) or not axis:

@@ -13,6 +13,7 @@ from .encoder import (
     lm_logits,
     lm_loss,
     lm_loss_and_grads,
+    pad_rows,
     softmax,
 )
 from .model import EncoderModel, ModelConfig, init_model, param_count, param_shapes
@@ -32,6 +33,7 @@ __all__ = [
     "lm_loss_and_grads",
     "load_checkpoint",
     "load_encoder",
+    "pad_rows",
     "param_count",
     "param_shapes",
     "save_checkpoint",

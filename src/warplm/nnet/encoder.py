@@ -134,6 +134,20 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(B, T, H * K)
 
 
+def pad_rows(rows, max_len: int, fill, dtype=np.int64):
+    """-> (array [B,T], mask [B,T]): `rows` right-padded with `fill` and
+    cut at max_len, T the longest row's length or max_len if that is less;
+    the mask is True at the kept row positions. Every batch the encoder
+    reads is truncated here and nowhere else."""
+    if not rows:
+        raise ValueError("empty batch")
+    T = min(max(map(len, rows)), max_len)
+    mask = np.arange(T) < np.array([len(row) for row in rows])[:, None]
+    out = np.full(mask.shape, fill, dtype=dtype)
+    out[mask] = [x for row in rows for x in row[:T]]
+    return out, mask
+
+
 def forward(
     model: EncoderModel,
     input_ids: np.ndarray,

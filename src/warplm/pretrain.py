@@ -22,6 +22,7 @@ from .nnet import (
     lm_logits,
     lm_loss,
     lm_loss_and_grads,
+    pad_rows,
     step,
 )
 from .seeding import derive_seed
@@ -39,20 +40,9 @@ _SEED_DROPOUT = 15
 def pad_batch(examples: list[WarpedExample], max_len: int):
     """Stack warped examples into (input_ids, pad_mask, label_ids,
     predict_mask), right-padded with PAD and truncated at max_len."""
-    if not examples:
-        raise ValueError("empty batch")
-    T = min(max(len(ex.input_ids) for ex in examples), max_len)
-    B = len(examples)
-    ids = np.full((B, T), PAD_ID, dtype=np.int64)
-    labels = np.full((B, T), PAD_ID, dtype=np.int64)
-    pad_mask = np.zeros((B, T), dtype=bool)
-    pred_mask = np.zeros((B, T), dtype=bool)
-    for i, ex in enumerate(examples):
-        n = min(len(ex.input_ids), T)
-        ids[i, :n] = ex.input_ids[:n]
-        labels[i, :n] = ex.label_ids[:n]
-        pad_mask[i, :n] = True
-        pred_mask[i, :n] = ex.predict_mask[:n]
+    ids, pad_mask = pad_rows([ex.input_ids for ex in examples], max_len, PAD_ID)
+    labels, _ = pad_rows([ex.label_ids for ex in examples], max_len, PAD_ID)
+    pred_mask, _ = pad_rows([ex.predict_mask for ex in examples], max_len, False, bool)
     return ids, pad_mask, labels, pred_mask
 
 
@@ -82,7 +72,8 @@ def validation_warps(
     """The fixed warps `evaluate_lm` scores, drawn from `seed` alone.
     Raises ValueError if none of them predicts a position within max_len."""
     examples = _warp_corpus(sentences, warp_cfg, vocab, seed, _SEED_VAL_WARP)
-    if not any(any(ex.predict_mask[:max_len]) for ex in examples):
+    flags, _ = pad_rows([ex.predict_mask for ex in examples], max_len, False, bool)
+    if not flags.any():
         raise ValueError("the validation warps predict no position "
                          "(the validation sentences are too few or too short)")
     return examples

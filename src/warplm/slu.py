@@ -22,7 +22,7 @@ import numpy as np
 
 from .nnet import EncoderModel, encoder_backward, forward, init_adam, save_checkpoint, step
 from .nnet.checkpoint import load_model_checkpoint
-from .nnet.encoder import _ce
+from .nnet.encoder import _ce, pad_rows
 from .nnet.model import head_shapes
 from .seeding import derive_seed
 from .textcore import CLS_ID, PAD_ID, Vocab
@@ -52,21 +52,14 @@ class TaggedUtterance:
 
 # ---------------------------------------------------------------- IOB tags
 
-def iob_is_valid(tags: list[str]) -> bool:
-    """Strict IOB2: every I-X continues a B-X/I-X of the same type."""
-    prev = OUTSIDE
-    for t in tags:
-        if t.startswith("I-"):
-            if not (prev == "B-" + t[2:] or prev == "I-" + t[2:]):
-                return False
-        elif t != OUTSIDE and not t.startswith("B-"):
-            return False
-        prev = t
-    return True
+def _is_iob_tag(tag: str) -> bool:
+    """O, B-<type> or I-<type>, with a non-empty type."""
+    return tag == OUTSIDE or (tag[:2] in ("B-", "I-") and len(tag) > 2)
 
 
 def iob_repair(tags: list[str]) -> list[str]:
-    """Promote orphan I-X to B-X so the sequence is valid IOB2."""
+    """Promote orphan I-X (one that continues no B-X/I-X) to B-X, which
+    makes a sequence of IOB tags valid IOB2."""
     out = []
     prev = OUTSIDE
     for t in tags:
@@ -77,23 +70,23 @@ def iob_repair(tags: list[str]) -> list[str]:
     return out
 
 
+def iob_is_valid(tags: list[str]) -> bool:
+    """Strict IOB2: every tag is an IOB tag and repair changes nothing."""
+    return all(map(_is_iob_tag, tags)) and iob_repair(tags) == list(tags)
+
+
 def iob_spans(tags: list[str]) -> set[tuple[str, int, int]]:
-    """(type, start, end) with inclusive indices. Orphan I-X starts a span
-    (conlleval behaviour), so repaired and unrepaired sequences agree."""
+    """(type, start, end) with inclusive indices, read off the repaired
+    sequence: an orphan I-X starts a span (conlleval behaviour)."""
     spans = set()
-    start, typ = None, None
+    start = None
+    tags = iob_repair(tags) + [OUTSIDE]
     for i, t in enumerate(tags):
-        if t.startswith("B-") or (t.startswith("I-") and typ != t[2:]):
-            if start is not None:
-                spans.add((typ, start, i - 1))
-            start, typ = i, t[2:]
-        elif t == OUTSIDE or not t.startswith("I-"):
-            if start is not None:
-                spans.add((typ, start, i - 1))
-            start, typ = None, None
-        # else I- of the current type: span continues
-    if start is not None:
-        spans.add((typ, start, len(tags) - 1))
+        if t.startswith("I-"):  # after repair, continues the open span
+            continue
+        if start is not None:
+            spans.add((tags[start][2:], start, i - 1))
+        start = i if t.startswith("B-") else None
     return spans
 
 
@@ -138,6 +131,8 @@ def parse_slu_text(text: str, vocab: Vocab) -> list[TaggedUtterance]:
         parts = line.split("\t")
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'token<TAB>tag', got {line!r}")
+        if not _is_iob_tag(parts[1]):
+            raise ValueError(f"line {lineno}: bad IOB2 tag {parts[1]!r}")
         toks.append(parts[0])
         tags.append(parts[1])
     flush(lineno if text else 0)
@@ -145,7 +140,12 @@ def parse_slu_text(text: str, vocab: Vocab) -> list[TaggedUtterance]:
 
 
 def load_slu_file(path, vocab: Vocab) -> list[TaggedUtterance]:
-    return parse_slu_text(Path(path).read_text(encoding="utf-8"), vocab)
+    """The utterances of an SLU file; a parse error names the file."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return parse_slu_text(text, vocab)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 # ------------------------------------------------------------------ model
@@ -185,29 +185,28 @@ def init_slu_model(
     return SLUModel(encoder, list(intent_labels), list(tag_labels), head)
 
 
+def _input_rows(utts: list[TaggedUtterance]) -> list[list[int]]:
+    return [[CLS_ID, *u.token_ids] for u in utts]
+
+
+def count_truncated(utts: list[TaggedUtterance], max_len: int) -> int:
+    """How many of `utts` `encode_slu_batch` cuts (CLS takes a position)."""
+    rows = _input_rows(utts)
+    _, kept = pad_rows(rows, max_len, PAD_ID)
+    return int(np.sum(kept.sum(axis=1) < [len(r) for r in rows]))
+
+
 def encode_slu_batch(model: SLUModel, utts: list[TaggedUtterance]):
     """-> (ids [B,L], pad_mask, intent_ids [B], tag_ids [B,L], tag_mask).
 
     Position 0 is CLS; tag ids are -1 at CLS and padding. Tags or intents
     absent from the model inventory get id -1 (excluded from the loss)."""
-    if not utts:
-        raise ValueError("empty batch")
     max_len = model.encoder.config.max_len
-    L = min(1 + max(len(u.token_ids) for u in utts), max_len)
-    B = len(utts)
-    ids = np.full((B, L), PAD_ID, dtype=np.int64)
-    pad_mask = np.zeros((B, L), dtype=bool)
-    intent_ids = np.full(B, -1, dtype=np.int64)
-    tag_ids = np.full((B, L), -1, dtype=np.int64)
-    ids[:, 0] = CLS_ID
-    pad_mask[:, 0] = True
-    for i, u in enumerate(utts):
-        n = min(len(u.token_ids), L - 1)
-        ids[i, 1 : n + 1] = u.token_ids[:n]
-        pad_mask[i, 1 : n + 1] = True
-        intent_ids[i] = model.intent_to_id.get(u.intent, -1)
-        for j in range(n):
-            tag_ids[i, 1 + j] = model.tag_to_id.get(u.tags[j], -1)
+    ids, pad_mask = pad_rows(_input_rows(utts), max_len, PAD_ID)
+    tag_ids, _ = pad_rows([[-1, *(model.tag_to_id.get(t, -1) for t in u.tags)]
+                           for u in utts], max_len, -1)
+    intent_ids = np.array([model.intent_to_id.get(u.intent, -1) for u in utts],
+                          dtype=np.int64)
     return ids, pad_mask, intent_ids, tag_ids, tag_ids >= 0
 
 

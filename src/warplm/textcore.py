@@ -102,9 +102,10 @@ def save_vocab(vocab: Vocab, path: str | Path) -> None:
 
 def load_vocab(path: str | Path) -> Vocab:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if len(lines) < N_SPECIALS:
-        raise ValueError(f"vocab file too short: {path}")
-    return Vocab(lines)
+    try:
+        return Vocab(lines)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 @dataclass

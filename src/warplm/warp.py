@@ -115,33 +115,28 @@ class WarpedExample:
     plan: WarpPlan
 
 
+def _repaired_ops(seq_len: int, ops: dict[int, WarpOp]) -> dict[int, WarpOp]:
+    """The legality rule, as one deterministic left-to-right pass: the op
+    after a DROP is removed (DROP wins over the later op), and a DROP at the
+    final position becomes MASK since no successor could carry its label.
+    Only DROP positions are visited: only a DROP still in place removes."""
+    out = dict(ops)
+    for i in sorted([i for i, op in ops.items() if op is WarpOp.DROP]):
+        if i in out:
+            out.pop(i + 1, None)
+    if out.get(seq_len - 1) is WarpOp.DROP:
+        out[seq_len - 1] = WarpOp.MASK
+    return out
+
+
 def is_legal(plan: WarpPlan) -> bool:
-    """True iff no position carries an op right after a DROP and the final
-    position is not a DROP."""
-    for i, op in plan.ops.items():
-        if op is WarpOp.DROP:
-            if i == plan.seq_len - 1:
-                return False
-            if (i + 1) in plan.ops:
-                return False
-    return True
+    """True iff repair leaves the plan unchanged."""
+    return _repaired_ops(plan.seq_len, plan.ops) == plan.ops
 
 
 def repair_plan(plan: WarpPlan) -> WarpPlan:
-    """Make a plan legal with one deterministic left-to-right pass.
-
-    The op following a DROP is removed (DROP wins over the later op); a DROP
-    at the final position becomes MASK since no successor could carry its
-    label. Idempotent.
-    """
-    ops = dict(plan.ops)
-    for i in sorted(ops):
-        if ops.get(i) is WarpOp.DROP and (i + 1) in ops:
-            del ops[i + 1]
-    last = plan.seq_len - 1
-    if ops.get(last) is WarpOp.DROP:
-        ops[last] = WarpOp.MASK
-    return WarpPlan(plan.seq_len, ops)
+    """Make a plan legal (see `_repaired_ops`). Idempotent."""
+    return WarpPlan(plan.seq_len, _repaired_ops(plan.seq_len, plan.ops))
 
 
 def sample_raw_plan(seq_len: int, config: WarpConfig, seed: int) -> WarpPlan:

@@ -667,3 +667,87 @@ def test_every_subcommand_is_deterministic(tmp_path):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
     assert digest.run(tmp_path / "a") == digest.run(tmp_path / "b")
+
+
+# ---------------------------------------------------- malformed input files
+
+def test_malformed_tag_is_one_error_naming_the_file(workspace, tmp_path, capsys):
+    data = workspace / "data"
+    bad = tmp_path / "bad.tsv"
+    bad.write_text((data / "slu_test.tsv").read_text().replace("B-", "B_"))
+    code, out, err = run(capsys, "corrupt", "--data", str(bad),
+                         "--vocab", str(data / "vocab.txt"),
+                         "--out", str(tmp_path / "noisy.tsv"), "--rates", "test")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bad}: line ") and "bad IOB2 tag 'B_" in err, err
+    assert err.strip().count("\n") == 0, err
+    assert list(tmp_path.iterdir()) == [bad]
+
+
+def test_slu_parse_error_names_the_file(workspace, tiny_checkpoints, tmp_path, capsys):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("#intent\tx\nbook\n\n")
+    code, out, err = run(capsys, "evaluate", "--checkpoint", str(workspace / "tiny_slu.ckpt"),
+                         "--data", str(bad), "--vocab", str(workspace / "data" / "vocab.txt"))
+    assert code == 2 and out == ""
+    assert err == f"error: {bad}: line 2: expected 'token<TAB>tag', got 'book'\n"
+
+
+def test_vocab_error_names_the_file(workspace, tmp_path, capsys):
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text((workspace / "data" / "vocab.txt").read_text() + "flight\n")
+    argv = command_argv("finetune", workspace, tmp_path / "x.ckpt")
+    argv[argv.index("--vocab") + 1] = str(vocab)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {vocab}: duplicate token in vocab\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("p_select = 1.5", "p_select must be in [0, 1]"),
+    ("objective = gpt", "unknown objective 'gpt' (expected one of wlm, mlm)"),
+], ids=["p_select", "objective"])
+def test_config_file_warp_settings_are_checked_before_reading_files(
+        tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    missing = tmp_path / "missing"
+    code, out, err = run(capsys, "pretrain", "--corpus", str(missing), "--vocab", str(missing),
+                         "--out", str(tmp_path / "x.ckpt"), "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_cut_utterances_are_noted_only_when_cut(workspace, tmp_path, capsys):
+    data = workspace / "data"
+    vocab = load_vocab(data / "vocab.txt")
+    enc = tmp_path / "enc4.ckpt"
+    save_encoder(enc, init_model(dataclasses.replace(tiny_config(vocab), max_len=4)),
+                 vocab.content_hash)
+    train, val = data / "slu_train.tsv", data / "slu_val.tsv"
+    argv = ["finetune", "--checkpoint", str(enc), "--train", str(train), "--val", str(val),
+            "--vocab", str(data / "vocab.txt"), "--out", str(tmp_path / "s.ckpt"),
+            "--epochs", "1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    notes = [l for l in out.splitlines() if l.startswith("note:")]
+    n_train = len(load_slu_file(train, vocab))
+    assert len(notes) == 2 and notes[0].startswith(f"note: {train}: ")
+    assert notes[1].startswith(f"note: {val}: ")
+    assert f" of {n_train} utterances in the training set are cut to 3 tokens" in notes[0]
+    code, out, err = run(capsys, "evaluate", "--checkpoint", str(tmp_path / "s.ckpt"),
+                         "--data", str(data / "slu_test.tsv"),
+                         "--vocab", str(data / "vocab.txt"))
+    assert code == 0, err
+    assert out.startswith(f"note: {data / 'slu_test.tsv'}: ")
+    assert "evaluation set are cut to 3 tokens (max_len 4 with [CLS])" in out
+    # the workspace encoder's default max_len cuts nothing: no note
+    code, out, err = run(capsys, *command_argv("finetune", workspace, tmp_path / "d.ckpt"))
+    assert code == 0, err
+    assert "note:" not in out
+    code, out, err = run(capsys, "evaluate", "--checkpoint", str(tmp_path / "d.ckpt"),
+                         "--data", str(data / "slu_test.tsv"),
+                         "--vocab", str(data / "vocab.txt"))
+    assert code == 0, err
+    assert "note:" not in out

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -12,6 +13,7 @@ from warplm.slu import (
     SLUModel,
     TaggedUtterance,
     conll_f1,
+    count_truncated,
     encode_slu_batch,
     evaluate_slu,
     finetune,
@@ -73,6 +75,28 @@ def test_iob_spans_basic():
     assert iob_spans(tags) == {("x", 1, 2), ("y", 4, 4), ("x", 5, 5)}
     assert iob_spans(["I-x", "I-x"]) == {("x", 0, 1)}  # orphan starts a span
     assert iob_spans([]) == set()
+
+
+def strict_iob2(tags):
+    """Strict IOB2 from the definition: every tag is O, B-<type> or
+    I-<type> (type non-empty), and every I-X follows a B-X or an I-X."""
+    for i, t in enumerate(tags):
+        if t == "O":
+            continue
+        if len(t) < 3 or t[:2] not in ("B-", "I-"):
+            return False
+        if t[0] == "I" and (i == 0 or tags[i - 1] not in ("B" + t[1:], "I" + t[1:])):
+            return False
+    return True
+
+
+NON_IOB_TAGS = ["B-", "I-", "B_a", "I_a", "o", "", "mid-token", "b-a", "X-a"]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(TAG_ALPHABET + NON_IOB_TAGS), max_size=8))
+def test_iob_is_valid_matches_strict_iob2_definition(tags):
+    assert iob_is_valid(tags) == strict_iob2(tags)
 
 
 def brute_spans(tags):
@@ -212,6 +236,39 @@ def test_parse_errors():
         parse_slu_text("#intent\tx\nplay O no tabs\n\n", VOCAB)
     with pytest.raises(ValueError, match="duplicate #intent"):
         parse_slu_text("#intent\tx\n#intent\ty\nplay\tO\n\n", VOCAB)
+
+
+@pytest.mark.parametrize("tag", ["B_city", "b-city", "B-", "I-", "mid-token", "o", ""])
+def test_parse_rejects_a_tag_that_is_not_iob2(tag):
+    with pytest.raises(ValueError, match=re.escape(f"line 3: bad IOB2 tag {tag!r}")):
+        parse_slu_text(f"#intent\tx\nplay\tO\njazz\t{tag}\n\n", VOCAB)
+
+
+def test_parse_accepts_an_orphan_inside_tag():
+    # conlleval reads an orphan I-X as the start of a span
+    [u] = parse_slu_text("#intent\tx\nplay\tO\njazz\tI-genre\n\n", VOCAB)
+    assert u.tags == ["O", "I-genre"]
+
+
+def test_load_slu_file_names_the_file_in_parse_errors(tmp_path):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("#intent\tx\nbook\n\n")
+    with pytest.raises(ValueError) as e:
+        load_slu_file(bad, VOCAB)
+    assert str(e.value) == f"{bad}: line 2: expected 'token<TAB>tag', got 'book'"
+
+
+def test_count_truncated_counts_what_encode_slu_batch_cuts():
+    enc = init_model(ModelConfig(len(VOCAB), d_model=8, n_layers=1, n_heads=2, d_ff=16,
+                                 max_len=4))
+    utts = [TaggedUtterance(VOCAB.encode(s), ["O"] * len(s.split()), "x")
+            for s in ("play jazz", "play some jazz", "play some jazz now")]
+    model = init_slu_model(enc, ["x"], ["O"])
+    _, pad_mask, _, _, _ = encode_slu_batch(model, utts)
+    kept = pad_mask.sum(axis=1) - 1  # tokens kept after CLS
+    assert kept.tolist() == [2, 3, 3]
+    assert count_truncated(utts, 4) == 1
+    assert count_truncated(utts, 5) == 0
 
 
 def test_tagged_utterance_validation():

@@ -82,6 +82,19 @@ def test_duplicate_token_rejected():
         Vocab(list(SPECIAL_TOKENS) + ["a", "a"])
 
 
+@pytest.mark.parametrize("lines, message", [
+    (["[PAD]", "[UNK]", "[CLS]", "[MASK]", "[INS]", "a", "a"], "duplicate token in vocab"),
+    (["a", "b", "c", "d", "e", "f"], "vocab must start with the special tokens"),
+    (["[PAD]", "[UNK]"], "vocab must start with the special tokens"),
+], ids=["duplicate", "no-specials", "too-short"])
+def test_load_vocab_names_the_file(tmp_path, lines, message):
+    p = tmp_path / "vocab.txt"
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as e:
+        load_vocab(p)
+    assert str(e.value) == f"{p}: {message}"
+
+
 def test_content_hash_changes_with_content():
     v1 = build_vocab("a b")
     v2 = build_vocab("a c")

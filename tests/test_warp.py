@@ -255,6 +255,19 @@ def test_repair_fixes_nothing_on_legal_plans(seq_len, ops):
         assert repair_plan(p).ops == ops
 
 
+@settings(max_examples=300)
+@given(seq_len=st.integers(0, 20), ops=ops_strategy)
+def test_is_legal_matches_adjacency_scan_on_unrepaired_plans(seq_len, ops):
+    """Oracle from the definition: a plan is illegal iff some op sits right
+    after a DROP or the final position is a DROP."""
+    ops = {i: op for i, op in ops.items() if i < seq_len}
+    illegal = ops.get(seq_len - 1) is WarpOp.DROP
+    for pos in ops:
+        if ops.get(pos - 1) is WarpOp.DROP:
+            illegal = True
+    assert is_legal(WarpPlan(seq_len, ops)) == (not illegal)
+
+
 @settings(max_examples=60)
 @given(seq_len=st.integers(1, 32), seed=st.integers(0, 2**32 - 1))
 def test_sampled_plans_apply_with_exact_length_algebra(seq_len, seed):
