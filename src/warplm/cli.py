@@ -62,13 +62,19 @@ RUN_SETTINGS = {
 }
 _DEFAULTS = dataclasses.asdict(RunConfig())
 _BOOLS = {"true": True, "1": True, "false": False, "0": False}
+# run_experiment's settings that `experiment` takes as flags; an omitted flag
+# leaves the setting at run_experiment's default.
+EXPERIMENT_SETTINGS = ("n_train", "n_val", "n_test", "n_corpus", "pretrain_epochs",
+                       "finetune_epochs", "seed")
 
 
 def parse_config_file(path) -> dict:
     """Flat KEY=VALUE lines; '#' starts a comment. Keys must be RunConfig
     fields; values are coerced to the type of the field's default."""
     out = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    with textcore.naming(path):
+        text = Path(path).read_text(encoding="utf-8")
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -136,7 +142,8 @@ def _note_truncated(path, utts, what: str, max_len: int) -> None:
 # ------------------------------------------------------------ subcommands
 
 def cmd_build_vocab(args) -> int:
-    text = Path(args.corpus).read_text(encoding="utf-8")
+    with textcore.naming(args.corpus):
+        text = Path(args.corpus).read_text(encoding="utf-8")
     vocab = textcore.build_vocab(text, min_count=args.min_count, max_size=args.max_size)
     textcore.save_vocab(vocab, args.out)
     print(f"wrote {args.out}: {len(vocab)} tokens ({vocab.n_words} words) "
@@ -174,8 +181,7 @@ def cmd_pretrain(args) -> int:
         log=log_row,
     )
     textcore.write_jsonl(args.log or (args.out + ".log.jsonl"), history)
-    save_encoder(args.out, model, vocab.content_hash,
-                 extra={"objective": rc.objective})
+    save_encoder(args.out, model, vocab.content_hash, objective=rc.objective)
     textcore.write_json(args.out + ".runconfig.json",
                         {k: getattr(rc, k) for k in RUN_SETTINGS[args.command]
                          if k not in unread})
@@ -206,9 +212,7 @@ def cmd_corrupt(args) -> int:
     vocab = textcore.load_vocab(args.vocab)
     utts = _load_slu_set(args.data, vocab, "dataset")
     if args.rates:
-        noise = {"train_val": asrsim.NoiseConfig.train_val,
-                 "test": asrsim.NoiseConfig.test,
-                 "clean": asrsim.NoiseConfig.clean}[args.rates]()
+        noise = getattr(asrsim.NoiseConfig, args.rates)()
     else:
         noise = asrsim.NoiseConfig(**{k: 0.0 if v is None else v for k, v in rates.items()})
     noisy_set = asrsim.make_noisy_slu_set(utts, noise, vocab, args.seed)
@@ -267,12 +271,8 @@ def cmd_experiment(args) -> int:
         objectives=tuple(args.objectives.split(",")),
         seeds=tuple(range(args.n_seeds)),
     )
-    experiment.run_experiment(
-        args.out, matrix,
-        n_train=args.n_train, n_val=args.n_val, n_test=args.n_test,
-        n_corpus=args.n_corpus, pretrain_epochs=args.pretrain_epochs,
-        finetune_epochs=args.finetune_epochs, seed=args.seed,
-    )
+    given = {k: getattr(args, k) for k in EXPERIMENT_SETTINGS if getattr(args, k) is not None}
+    experiment.run_experiment(args.out, matrix, **given)
     print(f"wrote {args.out}/report.txt")
     return 0
 
@@ -346,14 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--settings", default=",".join(experiment.SETTINGS))
     p.add_argument("--objectives", default=",".join(experiment.OBJECTIVES))
-    p.add_argument("--n-seeds", dest="n_seeds", type=int, default=5)
-    p.add_argument("--n-train", dest="n_train", type=int, default=400)
-    p.add_argument("--n-val", dest="n_val", type=int, default=100)
-    p.add_argument("--n-test", dest="n_test", type=int, default=200)
-    p.add_argument("--n-corpus", dest="n_corpus", type=int, default=2000)
-    p.add_argument("--pretrain-epochs", dest="pretrain_epochs", type=int, default=8)
-    p.add_argument("--finetune-epochs", dest="finetune_epochs", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-seeds", dest="n_seeds", type=int,
+                   default=len(experiment.ExperimentMatrix.seeds))
+    for name in EXPERIMENT_SETTINGS:
+        p.add_argument("--" + name.replace("_", "-"), dest=name, type=int)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("make-synthetic", help="write the experiment's synthetic data for a seed")

@@ -22,7 +22,6 @@ number of workers.
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import ctypes
 import itertools
@@ -221,34 +220,26 @@ def _openblas_thread_controls() -> list:
     return []
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Pin numpy's OpenBLAS to one thread and restore the old count on
-    exit: pool workers already use every CPU, and a multi-threaded BLAS
-    under each of them oversubscribes it."""
-    controls = _openblas_thread_controls()
-    old = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(1)
-    try:
-        yield
-    finally:
-        for (_, set_), n in zip(controls, old):
-            set_(n)
-
-
 def _run_cells(cells: list) -> list:
     """Call each zero-argument function in `cells` on a pool of up to one
     thread per usable CPU and return their results in order. Each cell runs
     in a copy of the caller's context, so numpy's errstate (a context
-    variable) holds inside it. The first failing cell in order re-raises its
-    exception here, and cells not yet started are cancelled."""
+    variable) holds inside it. numpy's OpenBLAS is pinned to one thread
+    while the pool runs, since the workers already use every CPU, and its
+    old count is restored after. The first failing cell in order re-raises
+    its exception here, and cells not yet started are cancelled."""
+    controls = _openblas_thread_controls()
+    old = [get() for get, _ in controls]
     pool = ThreadPoolExecutor(min(_usable_cpus(), len(cells)))
     try:
+        for _, set_ in controls:
+            set_(1)
         futures = [pool.submit(contextvars.copy_context().run, cell) for cell in cells]
         return [f.result() for f in futures]
     finally:
         pool.shutdown(cancel_futures=True)
+        for (_, set_), n in zip(controls, old):
+            set_(n)
 
 
 def write_synthetic_data(out_dir, n_corpus: int, n_train: int, n_val: int, n_test: int,
@@ -311,10 +302,8 @@ def run_experiment(
     # The cells call `pretrain`, `finetune` and `evaluate_slu` through this
     # module's globals, looked up when a cell runs.
     def pretrain_cell(obj):
-        return pretrain(
-            train_sents, val_sents, vocab, model_cfg, WarpConfig(obj),
-            epochs=pretrain_epochs, batch_size=32, lr=1e-3, seed=derive_seed(seed, 6),
-        )
+        return pretrain(train_sents, val_sents, vocab, model_cfg, WarpConfig(obj),
+                        epochs=pretrain_epochs, seed=derive_seed(seed, 6))
 
     # One fine-tune per (training set, objective, seed), scored on the test
     # set of every setting that trains on that set.
@@ -328,29 +317,25 @@ def run_experiment(
 
     def finetune_cell(kind, obj, s):
         ft_train, ft_val = train_sets[kind]
-        model, _ = finetune(
-            encoders[obj], ft_train, ft_val,
-            epochs=finetune_epochs, batch_size=16, lr=5e-4,
-            seed=derive_seed(seed, 7, s),
-        )
+        model, _ = finetune(encoders[obj], ft_train, ft_val, epochs=finetune_epochs,
+                            seed=derive_seed(seed, 7, s))
         return {setting: evaluate_slu(model, test_sets[setting.split("-")[1]])
                 for setting in matrix.settings if setting.startswith(kind)}
 
-    with _one_blas_thread():
-        if log:
-            for obj in matrix.objectives:
-                log(f"pretraining objective={obj} ({pretrain_epochs} epochs)")
-        encoders: dict[str, EncoderModel] = {}
-        pretrained = _run_cells([partial(pretrain_cell, obj) for obj in matrix.objectives])
-        for obj, (model, history) in zip(matrix.objectives, pretrained):
-            encoders[obj] = model
-            write_jsonl(out / f"pretrain_{obj}.jsonl", history)
+    if log:
+        for obj in matrix.objectives:
+            log(f"pretraining objective={obj} ({pretrain_epochs} epochs)")
+    encoders: dict[str, EncoderModel] = {}
+    pretrained = _run_cells([partial(pretrain_cell, obj) for obj in matrix.objectives])
+    for obj, (model, history) in zip(matrix.objectives, pretrained):
+        encoders[obj] = model
+        write_jsonl(out / f"pretrain_{obj}.jsonl", history)
 
-        scores = {}  # (setting, objective, seed) -> SLUMetrics
-        finetuned = _run_cells([partial(finetune_cell, *key) for key in finetune_keys])
-        for (_, obj, s), by_setting in zip(finetune_keys, finetuned):
-            for setting, metrics in by_setting.items():
-                scores[setting, obj, s] = metrics
+    scores = {}  # (setting, objective, seed) -> SLUMetrics
+    finetuned = _run_cells([partial(finetune_cell, *key) for key in finetune_keys])
+    for (_, obj, s), by_setting in zip(finetune_keys, finetuned):
+        for setting, metrics in by_setting.items():
+            scores[setting, obj, s] = metrics
 
     records: list[RunRecord] = []
     for setting, obj, s in itertools.product(matrix.settings, matrix.objectives, matrix.seeds):

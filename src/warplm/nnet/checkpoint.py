@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..textcore import naming
 from .model import EncoderModel, ModelConfig, head_shapes, param_shapes
 
 CHECKPOINT_MAGIC = b"WLM1"
@@ -63,55 +64,56 @@ def save_checkpoint(path, header: dict, params: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """-> (header, params). Every read is bounds-checked, so a truncated or
-    malformed file raises ValueError naming the path."""
+    """-> (header, params). Every read is bounds-checked and every decode
+    checked, so a truncated or malformed file raises ValueError naming the
+    path."""
     buf = Path(path).read_bytes()
     off = 0
 
     def take(n: int) -> bytes:
         nonlocal off
         if off + n > len(buf):
-            raise ValueError(
-                f"{path}: truncated checkpoint (needs {off + n} bytes, has {len(buf)})"
-            )
+            raise ValueError(f"truncated checkpoint (needs {off + n} bytes, has {len(buf)})")
         off += n
         return buf[off - n : off]
 
     def unpack(fmt: str):
         return struct.unpack(fmt, take(struct.calcsize(fmt)))
 
-    if buf[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: bad checkpoint magic {buf[:4]!r}")
-    take(4)
-    (version,) = unpack("<I")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    (hlen,) = unpack("<I")
-    header = json.loads(take(hlen).decode("utf-8"))
-    (count,) = unpack("<I")
-    params: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = unpack("<H")
-        name = take(nlen).decode("utf-8")
-        (ndim,) = unpack("<B")
-        shape = unpack(f"<{ndim}I")
-        n = math.prod(shape)  # exact: a corrupt shape cannot wrap around
-        arr = np.frombuffer(take(4 * n), dtype="<f4")
-        params[name] = arr.reshape(shape).astype(np.float32, copy=True)
-    if off != len(buf):
-        raise ValueError(f"{path}: {len(buf) - off} trailing bytes in checkpoint")
+    with naming(path):
+        if buf[:4] != CHECKPOINT_MAGIC:
+            raise ValueError(f"bad checkpoint magic {buf[:4]!r}")
+        take(4)
+        (version,) = unpack("<I")
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
+        (hlen,) = unpack("<I")
+        header = json.loads(take(hlen).decode("utf-8"))
+        (count,) = unpack("<I")
+        params: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (nlen,) = unpack("<H")
+            name = take(nlen).decode("utf-8")
+            (ndim,) = unpack("<B")
+            shape = unpack(f"<{ndim}I")
+            n = math.prod(shape)  # exact: a corrupt shape cannot wrap around
+            arr = np.frombuffer(take(4 * n), dtype="<f4")
+            params[name] = arr.reshape(shape).astype(np.float32, copy=True)
+        if off != len(buf):
+            raise ValueError(f"{len(buf) - off} trailing bytes in checkpoint")
     return header, params
 
 
-def save_encoder(path, model: EncoderModel, vocab_hash: str, extra: dict | None = None):
-    header = {
-        "kind": "encoder",
-        "config": asdict(model.config),
-        "vocab_hash": vocab_hash,
-    }
-    if extra:
-        header.update(extra)
-    save_checkpoint(path, header, model.params)
+def save_model(path, kind: str, config: ModelConfig, vocab_hash: str,
+               params: dict[str, np.ndarray], **extra) -> None:
+    """Write a checkpoint of `kind`: its header holds the keys HEADER_KEYS
+    checks, the kind and `extra`."""
+    header = {"kind": kind, "config": asdict(config), "vocab_hash": vocab_hash, **extra}
+    save_checkpoint(path, header, params)
+
+
+def save_encoder(path, model: EncoderModel, vocab_hash: str, **extra) -> None:
+    save_model(path, "encoder", model.config, vocab_hash, model.params, **extra)
 
 
 def load_model_checkpoint(path, kinds: tuple[str, ...], expect_vocab_hash: str | None = None):

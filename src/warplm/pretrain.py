@@ -81,7 +81,8 @@ def validation_warps(
 
 def evaluate_lm(model: EncoderModel, examples: list[WarpedExample], batch_size: int = 64):
     """Corpus-level (perplexity, accuracy) over all predicted positions of
-    the warped `examples`."""
+    the warped `examples`. A perplexity beyond the float range (mean NLL
+    above about 709) raises FloatingPointError."""
     total_nll = 0.0
     total_correct = 0.0
     total_pred = 0
@@ -99,7 +100,12 @@ def evaluate_lm(model: EncoderModel, examples: list[WarpedExample], batch_size: 
     if total_pred == 0:
         raise ValueError("no predictions in batch")
     mean_nll = total_nll / total_pred
-    return float(math.exp(mean_nll)), float(total_correct / total_pred)
+    try:
+        perplexity = math.exp(mean_nll)
+    except OverflowError:
+        raise FloatingPointError(f"divergence: validation mean NLL {mean_nll:.1f} "
+                                 "overflows the perplexity") from None
+    return float(perplexity), float(total_correct / total_pred)
 
 
 @dataclass

@@ -15,17 +15,17 @@ line):
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .nnet import EncoderModel, encoder_backward, forward, init_adam, save_checkpoint, step
-from .nnet.checkpoint import load_model_checkpoint
+from .nnet import EncoderModel, encoder_backward, forward, init_adam, step
+from .nnet.checkpoint import load_model_checkpoint, save_model
 from .nnet.encoder import _ce, pad_rows
 from .nnet.model import head_shapes
 from .seeding import derive_seed
-from .textcore import CLS_ID, PAD_ID, Vocab
+from .textcore import CLS_ID, PAD_ID, Vocab, naming
 
 OUTSIDE = "O"
 
@@ -140,12 +140,9 @@ def parse_slu_text(text: str, vocab: Vocab) -> list[TaggedUtterance]:
 
 
 def load_slu_file(path, vocab: Vocab) -> list[TaggedUtterance]:
-    """The utterances of an SLU file; a parse error names the file."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        return parse_slu_text(text, vocab)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+    """The utterances of an SLU file; a decoding or parse error names the file."""
+    with naming(path):
+        return parse_slu_text(Path(path).read_text(encoding="utf-8"), vocab)
 
 
 # ------------------------------------------------------------------ model
@@ -429,18 +426,20 @@ def finetune(
 # ------------------------------------------------------ SLU checkpointing
 
 def save_slu(path, model: SLUModel, vocab_hash: str) -> None:
-    header = {
-        "kind": "slu",
-        "config": asdict(model.encoder.config),
-        "vocab_hash": vocab_hash,
-        "intent_labels": model.intent_labels,
-        "tag_labels": model.tag_labels,
-    }
-    save_checkpoint(path, header, model.all_params())
+    save_model(path, "slu", model.encoder.config, vocab_hash, model.all_params(),
+               intent_labels=model.intent_labels, tag_labels=model.tag_labels)
 
 
 def load_slu(path, expect_vocab_hash: str | None = None) -> tuple[SLUModel, dict]:
+    """-> (SLUModel, header). Each label list must be non-empty and
+    distinct, of intent strings and of IOB2 tags."""
     header, config, params = load_model_checkpoint(path, ("slu",), expect_vocab_hash)
+    for key, what, ok in (("intent_labels", "strings", lambda s: isinstance(s, str)),
+                          ("tag_labels", "IOB2 tags",
+                           lambda s: isinstance(s, str) and _is_iob_tag(s))):
+        labels = header[key]
+        if not labels or not all(map(ok, labels)) or len(set(labels)) < len(labels):
+            raise ValueError(f"{path}: checkpoint {key} must be non-empty distinct {what}")
     enc_params = {k: v for k, v in params.items() if not k.startswith("head.")}
     head = {k[5:]: v for k, v in params.items() if k.startswith("head.")}
     encoder = EncoderModel(config, enc_params)

@@ -11,6 +11,7 @@ artifacts are written with sorted keys for the same reason.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 from collections import Counter
@@ -100,12 +101,19 @@ def save_vocab(vocab: Vocab, path: str | Path) -> None:
     Path(path).write_text("\n".join(vocab.id_to_token) + "\n", encoding="utf-8")
 
 
-def load_vocab(path: str | Path) -> Vocab:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+@contextlib.contextmanager
+def naming(path):
+    """Put `path: ` in front of the message of a ValueError (a decoding
+    error included) raised inside the block."""
     try:
-        return Vocab(lines)
+        yield
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
+
+
+def load_vocab(path: str | Path) -> Vocab:
+    with naming(path):
+        return Vocab(Path(path).read_text(encoding="utf-8").splitlines())
 
 
 @dataclass
@@ -131,7 +139,9 @@ def corpus_from_text(text: str, vocab: Vocab) -> Corpus:
 
 def load_corpus(path: str | Path, vocab: Vocab) -> Corpus:
     """Read a one-sentence-per-line UTF-8 corpus file. Blank lines are skipped."""
-    return corpus_from_text(Path(path).read_text(encoding="utf-8"), vocab)
+    with naming(path):
+        text = Path(path).read_text(encoding="utf-8")
+    return corpus_from_text(text, vocab)
 
 
 def write_json(path: str | Path, obj) -> None:

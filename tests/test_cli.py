@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import io
 import json
+import struct
 import tempfile
 import warnings
 from pathlib import Path
@@ -11,13 +12,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import warplm.experiment
 import warplm.pretrain
 import warplm.slu
 
 from warplm.cli import RunConfig, main, parse_config_file, resolve_run_config, build_parser
+from warplm.experiment import ExperimentMatrix
 from warplm.nnet import (
     ModelConfig, init_model, load_checkpoint, load_encoder, save_checkpoint, save_encoder,
 )
+from warplm.nnet.checkpoint import CHECKPOINT_MAGIC, HEADER_KEYS
 from warplm.slu import init_slu_model, label_inventory, load_slu, load_slu_file, save_slu
 from warplm.textcore import load_vocab
 
@@ -390,6 +394,12 @@ def _wrong_ffn_shape(header, params):
     params["layers.0.ffn.w1"] = np.zeros((w1.shape[0], w1.shape[1] + 1), np.float32)
 
 
+def _no_intent_labels(header, params):
+    header["intent_labels"] = []
+    params["head.intent_w"] = params["head.intent_w"][:, :0]
+    params["head.intent_b"] = params["head.intent_b"][:0]
+
+
 @pytest.mark.parametrize("kind, mutate", [
     ("slu", _drop_heads),
     ("slu", lambda header, params: header.update(intent_labels=5)),
@@ -399,8 +409,15 @@ def _wrong_ffn_shape(header, params):
     ("encoder", _wrong_ffn_shape),
     ("encoder", lambda header, params: header["config"].update(d_model="x")),
     ("encoder", lambda header, params: header["config"].update(d_model=8.0)),
+    ("slu", lambda header, params: header.update(tag_labels=[0, 1])),
+    ("slu", lambda header, params: header.update(intent_labels=[None])),
+    ("slu", lambda header, params: header.update(tag_labels=["O", "O"])),
+    ("slu", lambda header, params: header.update(tag_labels=["O", "B_city"])),
+    ("slu", _no_intent_labels),
 ], ids=["slu_without_heads", "slu_labels_not_a_list", "no_tok_emb", "no_vocab_hash", "unknown_config_key",
-        "wrong_ffn_shape", "string_dimension", "float_dimension"])
+        "wrong_ffn_shape", "string_dimension", "float_dimension",
+        "slu_tag_labels_not_strings", "slu_intent_labels_null", "slu_tag_labels_repeated",
+        "slu_tag_label_not_iob2", "slu_no_intent_labels"])
 def test_malformed_checkpoint_is_single_line_error(workspace, tmp_path, capsys, kind, mutate):
     data, vocab_path = workspace / "data", workspace / "data" / "vocab.txt"
     vocab = load_vocab(vocab_path)
@@ -751,3 +768,72 @@ def test_cut_utterances_are_noted_only_when_cut(workspace, tmp_path, capsys):
                          "--vocab", str(data / "vocab.txt"))
     assert code == 0, err
     assert "note:" not in out
+
+
+def raw_checkpoint(header: bytes, name: bytes = b"w") -> bytes:
+    """Checkpoint bytes with the given header bytes and one 0-d tensor `name`."""
+    return (CHECKPOINT_MAGIC + struct.pack("<II", 1, len(header)) + header
+            + struct.pack("<IH", 1, len(name)) + name + struct.pack("<B", 0) + bytes(4))
+
+
+FINETUNE_CHECKPOINT = ("finetune --checkpoint {bad} --train {data}/slu_train.tsv "
+                       "--val {data}/slu_val.tsv --vocab {data}/vocab.txt --out {out}")
+
+
+@pytest.mark.parametrize("argv, content", [
+    ("build-vocab {bad} --out {out}", b"book a flight\n\xff\n"),
+    ("pretrain --corpus {bad} --vocab {data}/vocab.txt --out {out}", b"book a flight\n\xff\n"),
+    ("pretrain --corpus {data}/corpus.txt --val-corpus {bad} --vocab {data}/vocab.txt "
+     "--out {out}", b"book a flight\n\xff\n"),
+    ("warp-preview --vocab {data}/vocab.txt --config {bad} book", b"seed = 1\n\xff\n"),
+    ("finetune --checkpoint {ws}/enc.ckpt --train {data}/slu_train.tsv "
+     "--val {data}/slu_val.tsv --vocab {bad} --out {out}", b"[PAD]\n\xff\n"),
+    ("evaluate --checkpoint {ws}/tiny_slu.ckpt --data {bad} --vocab {data}/vocab.txt "
+     "--out {out}", b"#intent\tx\nbook\t\xff\n"),
+    (FINETUNE_CHECKPOINT, raw_checkpoint(b"not json")),
+    (FINETUNE_CHECKPOINT, raw_checkpoint(b"\xff")),
+    (FINETUNE_CHECKPOINT, raw_checkpoint(b"{}", name=b"\xff")),
+], ids=["build_vocab_corpus", "pretrain_corpus", "pretrain_val_corpus", "config",
+        "vocab", "slu_data", "checkpoint_header_not_json", "checkpoint_header_not_utf8",
+        "checkpoint_tensor_name_not_utf8"])
+def test_undecodable_input_is_one_error_naming_the_file(
+        workspace, tiny_checkpoints, tmp_path, capsys, argv, content):
+    bad, out = tmp_path / "bad", tmp_path / "out"
+    bad.write_bytes(content)
+    argv = argv.format(bad=bad, out=out, ws=workspace, data=workspace / "data").split()
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == [bad]
+
+
+def test_validation_perplexity_overflow_is_a_divergence_error(workspace, tmp_path, capsys):
+    data = workspace / "data"
+    code, _, err = run(capsys, "pretrain", "--corpus", str(data / "corpus.txt"),
+                       "--vocab", str(data / "vocab.txt"), "--out", str(tmp_path / "enc.ckpt"),
+                       "--epochs", "3", "--lr", "10", "--d-model", "16", "--d-ff", "32")
+    assert code == 2
+    assert err.startswith("error: divergence: ") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
+
+
+# ------------------------------------------- what the callee owns, read once
+
+def test_experiment_passes_run_experiment_only_the_settings_given(
+        tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(warplm.experiment, "run_experiment",
+                        lambda *args, **kwargs: calls.append((args, kwargs)))
+    out = str(tmp_path / "exp")
+    assert run(capsys, "experiment", "--out", out)[0] == 0
+    assert run(capsys, "experiment", "--out", out, "--n-train", "7", "--seed", "3")[0] == 0
+    (args, kwargs), (_, given) = calls
+    assert args == (out, ExperimentMatrix())
+    assert kwargs == {}
+    assert given == {"n_train": 7, "seed": 3}
+
+
+def test_pretrain_checkpoint_header_adds_only_the_objective(workspace):
+    header, _ = load_checkpoint(workspace / "enc.ckpt")
+    assert header.keys() == {"kind", "objective"} | HEADER_KEYS["encoder"].keys()
+    assert header["kind"] == "encoder" and header["objective"] == "wlm"

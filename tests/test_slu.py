@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from warplm.nnet import ModelConfig, encoder_backward, forward, init_model
+from warplm.nnet import load_checkpoint, load_encoder, save_encoder
+from warplm.nnet.checkpoint import HEADER_KEYS
 from warplm.slu import (
     OUTSIDE,
     SLUModel,
@@ -513,3 +515,31 @@ def test_slu_checkpoint_round_trip(tmp_path):
     assert i1 == i2 and t1 == t2
     with pytest.raises(ValueError, match="vocab hash mismatch"):
         load_slu(p, expect_vocab_hash="0" * 64)
+
+
+def labelled_model():
+    utts = synth_slu_utterances(10, VOCAB, seed=11)
+    return init_slu_model(desk_encoder(), *label_inventory(utts))
+
+
+def test_checkpoint_headers_hold_exactly_the_keys_of_their_kind(tmp_path):
+    model = labelled_model()
+    save_encoder(tmp_path / "encoder.ckpt", model.encoder, VOCAB.content_hash)
+    save_slu(tmp_path / "slu.ckpt", model, VOCAB.content_hash)
+    for kind in ("encoder", "slu"):
+        header, _ = load_checkpoint(tmp_path / f"{kind}.ckpt")
+        assert header.keys() == {"kind"} | HEADER_KEYS[kind].keys()
+        assert header["kind"] == kind
+
+
+def test_load_encoder_reads_the_encoder_of_an_slu_checkpoint(tmp_path):
+    model = labelled_model()
+    save_slu(tmp_path / "slu.ckpt", model, VOCAB.content_hash)
+    encoder, header = load_encoder(tmp_path / "slu.ckpt")
+    assert header["kind"] == "slu"
+    assert encoder.config == model.encoder.config
+    assert encoder.params.keys() == model.encoder.params.keys()
+    assert not any(k.startswith("head.") for k in encoder.params)
+    for k, v in model.encoder.params.items():
+        got = encoder.params[k]
+        assert got.dtype == v.dtype and got.tobytes() == v.tobytes(), k
