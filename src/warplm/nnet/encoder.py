@@ -7,6 +7,12 @@ the test suite; keep forward and backward in lockstep when editing.
 Activations, logits and gradients keep the parameter dtype: float32 models
 compute in float32 and float64 models (the gradient checks) in float64.
 
+A step's cost at desk sizes is mostly Python dispatch, so the kernels call
+ufuncs and their `reduce` directly rather than numpy's Python-level
+wrappers (`mean`, `sum`, `clip`, `tensordot`) and work in place. Each
+rewrite gives the same bits as the plain formula, which the tests keep as
+an oracle.
+
 Every head computes logits only at the rows it scores: the LM head gathers
 the predicted rows of the hidden state *before* the tied output projection,
 so a step costs `[N_pred, V]` logits rather than `[B, T, V]`, and most
@@ -25,7 +31,7 @@ import math
 import numpy as np
 
 from ..textcore import INS_ID
-from .model import EncoderModel
+from .model import EncoderModel, flat_views
 
 LN_EPS = 1e-5
 NEG_INF = -1e9  # additive score for PAD keys; exp() underflows to exactly 0
@@ -62,58 +68,84 @@ def erf(x: np.ndarray) -> np.ndarray:
     numpy ops; any other dtype uses the C library's erf, element by element."""
     if x.dtype != np.float32:
         return np.asarray(_libm_erf(x), dtype=x.dtype)
-    x = np.clip(x, -4.0, 4.0)
+    x = np.maximum(x, -4.0)
+    np.minimum(x, 4.0, out=x)
     x2 = x * x
     p = _horner(x2, _ERF32_P)
     p *= x
     p /= _horner(x2, _ERF32_Q)
-    return np.clip(p, -1.0, 1.0, out=p)
+    np.maximum(p, -1.0, out=p)
+    return np.minimum(p, 1.0, out=p)
 
 
 def _gelu(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(gelu(u), phi2) with phi2 = 1 + erf(u/sqrt2), which the backward
     pass reuses: erf is the costliest op of the layer."""
-    phi2 = 1.0 + erf(u * _INV_SQRT2)
+    phi2 = erf(u * _INV_SQRT2)
+    phi2 += 1.0
     return 0.5 * u * phi2, phi2
 
 
 def _gelu_grad(u: np.ndarray, phi2: np.ndarray) -> np.ndarray:
-    return 0.5 * phi2 + u * np.exp(-0.5 * u * u) * _INV_SQRT2PI
+    """0.5 phi2 + u exp(-u^2 / 2) / sqrt(2 pi), in one buffer."""
+    g = u * -0.5
+    g *= u
+    np.exp(g, out=g)
+    g *= u
+    g *= _INV_SQRT2PI
+    g += 0.5 * phi2
+    return g
+
+
+def _mean_last(x):
+    """x.mean(axis=-1, keepdims=True) without numpy's Python wrapper."""
+    m = np.add.reduce(x, axis=-1, keepdims=True)
+    m /= x.shape[-1]
+    return m
 
 
 def _layer_norm(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return g * xhat + b, (xhat, inv)
+    xc = x - _mean_last(x)
+    var = _mean_last(xc * xc)
+    var += LN_EPS
+    inv = np.sqrt(var, out=var)
+    np.divide(1.0, inv, out=inv)
+    xhat = np.multiply(xc, inv, out=xc)
+    y = g * xhat
+    y += b
+    return y, (xhat, inv)
 
 
 def _layer_norm_backward(grads, P, name, dy, cache):
     """Add the gradients of layer norm `name` ({name}.g, {name}.b) to
     `grads`; returns dLoss/dx."""
     xhat, inv = cache
-    grads[name + ".g"] += np.sum(dy * xhat, axis=(0, 1))
-    grads[name + ".b"] += np.sum(dy, axis=(0, 1))
-    dxhat = dy * P[name + ".g"]
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = np.mean(dxhat * xhat, axis=-1, keepdims=True)
-    return inv * (dxhat - m1 - xhat * m2)
+    t = dy * xhat
+    grads[name + ".g"] += np.add.reduce(t, axis=(0, 1))
+    grads[name + ".b"] += np.add.reduce(dy, axis=(0, 1))
+    dx = dy * P[name + ".g"]  # dLoss/dxhat, then dLoss/dx in place
+    m1 = _mean_last(dx)
+    m2 = _mean_last(np.multiply(dx, xhat, out=t))
+    # inv * (dxhat - m1 - xhat * m2)
+    dx -= m1
+    dx -= np.multiply(xhat, m2, out=t)
+    dx *= inv
+    return dx
 
 
 def _linear_backward(grads, P, w, b, x, dy):
     """Add the gradients of y = x @ P[w] + P[b] (x, dy [B,T,*]) to `grads`;
     returns dLoss/dx."""
-    grads[b] += dy.sum(axis=(0, 1))
-    grads[w] += np.tensordot(x, dy, axes=([0, 1], [0, 1]))
+    grads[b] += np.add.reduce(dy, axis=(0, 1))
+    grads[w] += x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
     return dy @ P[w].T
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    z = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = x - np.maximum.reduce(x, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=axis, keepdims=True)
+    return e
 
 
 def _dropout_mask(rng, shape, rate, dtype):
@@ -121,7 +153,8 @@ def _dropout_mask(rng, shape, rate, dtype):
     if rng is None or rate <= 0.0:
         return None
     keep = (rng.random(shape) >= rate).astype(dtype)
-    return keep / dtype.type(1.0 - rate)
+    keep /= dtype.type(1.0 - rate)
+    return keep
 
 
 def _split_heads(x, n_heads):
@@ -189,7 +222,9 @@ def forward(
         q = _split_heads(x1 @ P[p + "attn.wq"] + P[p + "attn.bq"], cfg.n_heads)
         k = _split_heads(x1 @ P[p + "attn.wk"] + P[p + "attn.bk"], cfg.n_heads)
         v = _split_heads(x1 @ P[p + "attn.wv"] + P[p + "attn.bv"], cfg.n_heads)
-        s = q @ k.transpose(0, 1, 3, 2) * scale + att_bias
+        s = q @ k.transpose(0, 1, 3, 2)
+        s *= scale
+        s += att_bias
         probs = softmax(s, axis=-1)
         ctx = _merge_heads(probs @ v)
         attn = ctx @ P[p + "attn.wo"] + P[p + "attn.bo"]
@@ -239,7 +274,8 @@ def encoder_backward(
     ids, mask = cache["ids"], cache["mask"]
     B, T = ids.shape
     D = cfg.d_model
-    grads = {name: np.zeros_like(p) for name, p in P.items()}
+    # every gradient is a view of one zeroed allocation
+    grads = flat_views(np.zeros(sum([p.size for p in P.values()]), P["tok_emb"].dtype), P)
 
     dh = _layer_norm_backward(grads, P, "final_ln", d_hidden, cache["lnfc"])
 
@@ -253,9 +289,10 @@ def encoder_backward(
         # more [B,T,F] arrays; these are the forward's own ops, so same bits
         a = 0.5 * c["u"] * c["phi2"]
         da = _linear_backward(grads, P, p + "ffn.w2", p + "ffn.b2", a, df)
-        du = da * _gelu_grad(c["u"], c["phi2"])
+        du = _gelu_grad(c["u"], c["phi2"])
+        du *= da
         dx2 = _linear_backward(grads, P, p + "ffn.w1", p + "ffn.b1", c["x2"], du)
-        dh = dh + _layer_norm_backward(grads, P, p + "ln2", dx2, c["ln2c"])
+        dh += _layer_norm_backward(grads, P, p + "ln2", dx2, c["ln2c"])
 
         # h_mid = h_in + drop(attn(LN1(h_in)))
         dattn = dh if c["attn_drop"] is None else dh * c["attn_drop"]
@@ -263,17 +300,21 @@ def encoder_backward(
         dctx = _split_heads(dctx, cfg.n_heads)
         dprobs = dctx @ c["v"].transpose(0, 1, 3, 2)
         dv = c["probs"].transpose(0, 1, 3, 2) @ dctx
-        ds = c["probs"] * (dprobs - np.sum(dprobs * c["probs"], axis=-1, keepdims=True))
-        dq = ds @ c["k"] * cache["scale"]
-        dk = ds.transpose(0, 1, 3, 2) @ c["q"] * cache["scale"]
+        # ds = probs * (dprobs - sum(dprobs * probs)), in dprobs's buffer
+        dprobs -= np.add.reduce(dprobs * c["probs"], axis=-1, keepdims=True)
+        ds = np.multiply(dprobs, c["probs"], out=dprobs)
+        dq = ds @ c["k"]
+        dq *= cache["scale"]
+        dk = ds.transpose(0, 1, 3, 2) @ c["q"]
+        dk *= cache["scale"]
         dx1 = np.zeros((B, T, D), dtype=dh.dtype)
         for nm, dz in (("q", dq), ("k", dk), ("v", dv)):
             dx1 += _linear_backward(grads, P, p + f"attn.w{nm}", p + f"attn.b{nm}",
                                     c["x1"], _merge_heads(dz))
-        dh = dh + _layer_norm_backward(grads, P, p + "ln1", dx1, c["ln1c"])
+        dh += _layer_norm_backward(grads, P, p + "ln1", dx1, c["ln1c"])
 
     de = dh if cache["emb_drop"] is None else dh * cache["emb_drop"]
-    grads["pos_emb"][:T] += de.sum(axis=0)
+    grads["pos_emb"][:T] += np.add.reduce(de, axis=0)
     np.add.at(grads["tok_emb"], ids.reshape(-1), de.reshape(-1, D))
     if d_tok_emb is not None:
         grads["tok_emb"] += d_tok_emb
@@ -295,12 +336,12 @@ def _ce(logits, label_ids):
     if n == 0:
         raise ValueError("no predictions in batch")
     rows = np.arange(n)
-    z = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(z)
-    sum_e = np.sum(e, axis=-1, keepdims=True)
-    loss = -float(np.sum(z[rows, label_ids] - np.log(sum_e[:, 0])) / n)
-    acc = float(np.sum(np.argmax(logits, axis=-1) == label_ids) / n)
-    d = e / sum_e
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    d = np.exp(z)
+    sum_e = np.add.reduce(d, axis=-1, keepdims=True)
+    loss = -float(np.add.reduce(z[rows, label_ids] - np.log(sum_e[:, 0])) / n)
+    acc = float(np.add.reduce(logits.argmax(axis=-1) == label_ids) / n)
+    d /= sum_e
     d[rows, label_ids] -= 1.0
     d *= 1.0 / n
     return loss, acc, d
@@ -329,11 +370,11 @@ def lm_backward(
     """
     pm = np.asarray(predict_mask, dtype=bool)
     hidden = cache["hidden"]
-    d_hidden = np.zeros_like(hidden)
+    d_hidden = np.zeros(hidden.shape, hidden.dtype)
     d_hidden[pm] = d_logits @ model.params["tok_emb"]
     grads = encoder_backward(model, cache, d_hidden, freeze_ins,
                              d_tok_emb=d_logits.T @ hidden[pm])
-    grads["out_bias"] += d_logits.sum(axis=0)
+    grads["out_bias"] += np.add.reduce(d_logits, axis=0)
     return grads
 
 

@@ -2,7 +2,8 @@
 
 The model is a plain numpy parameter dictionary plus a config. Input and
 output token embeddings are tied (one [V, d_model] matrix used for both),
-with a separate output bias vector.
+with a separate output bias vector. Training points the dictionary's
+entries at views of one flat buffer (`flat_views`, `adam.init_adam`).
 """
 
 from __future__ import annotations
@@ -97,6 +98,16 @@ def head_shapes(d_model: int, n_intents: int, n_tags: int) -> dict[str, tuple[in
         "slot_w": (d_model, n_tags),
         "slot_b": (n_tags,),
     }
+
+
+def flat_views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Name -> view of the 1-d `flat`, shaped as `like`'s arrays and laid
+    back to back in its order."""
+    views, lo = {}, 0
+    for name, p in like.items():
+        views[name] = flat[lo : lo + p.size].reshape(p.shape)
+        lo += p.size
+    return views
 
 
 def param_count(config: ModelConfig) -> int:

@@ -103,26 +103,30 @@ def save_slu_file(path, utts: list[TaggedUtterance], vocab: Vocab) -> None:
 
 
 def parse_slu_text(text: str, vocab: Vocab) -> list[TaggedUtterance]:
+    """The utterances of SLU file text; an error names the line at fault,
+    for a malformed utterance the line it starts on."""
     utts: list[TaggedUtterance] = []
-    intent, toks, tags = None, [], []
+    start, intent, toks, tags = None, None, [], []
 
-    def flush(lineno):
-        nonlocal intent, toks, tags
-        if intent is None and not toks:
+    def flush():
+        nonlocal start, intent, toks, tags
+        if start is None:
             return
         if intent is None:
-            raise ValueError(f"line {lineno}: utterance without #intent header")
+            raise ValueError(f"line {start}: utterance without #intent header")
         if not toks:
-            raise ValueError(f"line {lineno}: utterance with no tokens")
+            raise ValueError(f"line {start}: utterance with no tokens")
         ids = vocab.encode_tokens([vocab.normalize(t) for t in toks])
         utts.append(TaggedUtterance(ids, list(tags), intent))
-        intent, toks, tags = None, [], []
+        start, intent, toks, tags = None, None, [], []
 
     for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.rstrip("\r")
         if not line.strip():
-            flush(lineno)
+            flush()
             continue
+        if start is None:
+            start = lineno
         if line.startswith("#intent\t"):
             if intent is not None:
                 raise ValueError(f"line {lineno}: duplicate #intent header")
@@ -135,7 +139,7 @@ def parse_slu_text(text: str, vocab: Vocab) -> list[TaggedUtterance]:
             raise ValueError(f"line {lineno}: bad IOB2 tag {parts[1]!r}")
         toks.append(parts[0])
         tags.append(parts[1])
-    flush(lineno if text else 0)
+    flush()
     return utts
 
 
@@ -162,6 +166,13 @@ class SLUModel:
         merged = dict(self.encoder.params)
         merged.update({"head." + k: v for k, v in self.head.items()})
         return merged
+
+
+def _split_params(merged: dict[str, np.ndarray]):
+    """The inverse of `SLUModel.all_params`: (encoder params, head params)."""
+    encoder = {k: v for k, v in merged.items() if not k.startswith("head.")}
+    head = {k[5:]: v for k, v in merged.items() if k.startswith("head.")}
+    return encoder, head
 
 
 def label_inventory(utts: list[TaggedUtterance]) -> tuple[list[str], list[str]]:
@@ -200,7 +211,7 @@ def encode_slu_batch(model: SLUModel, utts: list[TaggedUtterance]):
     absent from the model inventory get id -1 (excluded from the loss)."""
     max_len = model.encoder.config.max_len
     ids, pad_mask = pad_rows(_input_rows(utts), max_len, PAD_ID)
-    tag_ids, _ = pad_rows([[-1, *(model.tag_to_id.get(t, -1) for t in u.tags)]
+    tag_ids, _ = pad_rows([[-1] + [model.tag_to_id.get(t, -1) for t in u.tags]
                            for u in utts], max_len, -1)
     intent_ids = np.array([model.intent_to_id.get(u.intent, -1) for u in utts],
                           dtype=np.int64)
@@ -243,9 +254,9 @@ def slu_loss_and_grads(model: SLUModel, utts, dropout_rng=None, freeze_encoder=F
     d_hidden[:, 0] += d_int @ H["intent_w"].T
     head_grads = {
         "intent_w": h_cls.T @ d_int,
-        "intent_b": d_int.sum(axis=0),
+        "intent_b": np.add.reduce(d_int, axis=0),
         "slot_w": h_tag.T @ d_slot,
-        "slot_b": d_slot.sum(axis=0),
+        "slot_b": np.add.reduce(d_slot, axis=0),
     }
     grads = {"head." + k: v for k, v in head_grads.items()}
     if not freeze_encoder:
@@ -374,7 +385,8 @@ def finetune(
 ) -> tuple[SLUModel, list[FinetuneEpoch]]:
     """Fine-tune a (copy of a) pretrained encoder with fresh heads.
 
-    Keeps the parameters from `kept_epoch(history)`."""
+    Keeps the parameters from `kept_epoch(history)`. The trained
+    parameters live in Adam's flat buffer, which the returned model views."""
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if batch_size < 1:
@@ -391,6 +403,9 @@ def finetune(
         else model.all_params()
     )
     adam = init_adam(trainable, lr=lr)
+    encoder_views, head_views = _split_params(trainable)
+    model.encoder.params.update(encoder_views)
+    model.head.update(head_views)
     history: list[FinetuneEpoch] = []
     for epoch in range(1, epochs + 1):
         order = np.random.default_rng(
@@ -417,9 +432,8 @@ def finetune(
         if log is not None:
             log(row)
         if kept_epoch(history) is row:
-            snap = {k: v.copy() for k, v in trainable.items()}
-    for k, v in trainable.items():
-        np.copyto(v, snap[k])
+            snap = adam.flat.copy()
+    np.copyto(adam.flat, snap)
     return model, history
 
 
@@ -440,8 +454,7 @@ def load_slu(path, expect_vocab_hash: str | None = None) -> tuple[SLUModel, dict
         labels = header[key]
         if not labels or not all(map(ok, labels)) or len(set(labels)) < len(labels):
             raise ValueError(f"{path}: checkpoint {key} must be non-empty distinct {what}")
-    enc_params = {k: v for k, v in params.items() if not k.startswith("head.")}
-    head = {k[5:]: v for k, v in params.items() if k.startswith("head.")}
+    enc_params, head = _split_params(params)
     encoder = EncoderModel(config, enc_params)
     model = SLUModel(encoder, header["intent_labels"], header["tag_labels"], head)
     return model, header

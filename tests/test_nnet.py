@@ -483,6 +483,216 @@ def test_adam_rejects_nonfinite_gradient():
         step(params, {"w": np.array([np.inf])}, init_adam(params))
 
 
+def per_parameter_adam_step(params, grads, m, v, t, lr):
+    """Adam as one loop over the parameters, each with its own moment
+    arrays: the reference the flat-buffer `step` must match bit for bit."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    for name, p in params.items():
+        g = grads[name]
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * (g * g)
+        p -= lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + eps)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_flat_adam_matches_the_per_parameter_loop_bit_for_bit(dtype):
+    model = init_model(TINY, seed=2).astype(dtype)
+    ref = {k: p.copy() for k, p in model.params.items()}
+    m = {k: np.zeros_like(p) for k, p in ref.items()}
+    v = {k: np.zeros_like(p) for k, p in ref.items()}
+    st = init_adam(model.params, lr=3e-3)
+    ins_row = model.params["tok_emb"][INS_ID].copy()
+    rng = np.random.default_rng(7)
+    for t in range(1, 6):
+        grads = {k: rng.normal(0.0, 0.1, p.shape).astype(dtype) for k, p in ref.items()}
+        grads["tok_emb"][INS_ID] = 0.0
+        step(model.params, grads, st)
+        per_parameter_adam_step(ref, grads, m, v, t, 3e-3)
+        assert st.t == t
+        for k in ref:
+            assert model.params[k].dtype == dtype
+            assert model.params[k].tobytes() == ref[k].tobytes(), (t, k)
+    for buf, per_param in ((st.m, m), (st.v, v)):
+        assert buf.tobytes() == b"".join(a.tobytes() for a in per_param.values())
+    assert model.params["tok_emb"][INS_ID].tobytes() == ins_row.tobytes()
+
+
+def test_init_adam_views_one_buffer():
+    model = init_model(TINY, seed=0)
+    before = {k: p.copy() for k, p in model.params.items()}
+    st = init_adam(model.params)
+    assert st.flat.size == param_count(TINY) and st.flat.dtype == np.float32
+    for k, p in model.params.items():
+        assert np.shares_memory(p, st.flat), k
+        assert p.shape == before[k].shape and p.tobytes() == before[k].tobytes()
+
+
+def test_init_adam_rejects_parameters_of_two_dtypes():
+    params = {"w": np.zeros(3, np.float32), "b": np.zeros(2, np.float64)}
+    with pytest.raises(ValueError, match="one dtype, got float32 and float64"):
+        init_adam(params)
+
+
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+def test_nonfinite_gradient_changes_no_parameter_or_moment(bad_value):
+    model = init_model(TINY, seed=1)
+    st = init_adam(model.params)
+    rng = np.random.default_rng(0)
+    good = {k: rng.normal(0.0, 0.1, p.shape).astype(np.float32)
+            for k, p in model.params.items()}
+    step(model.params, good, st)  # moments away from zero
+    names = list(model.params)
+    first, later = names[5], names[-3]
+    bad = {k: good[k].copy() for k in reversed(names)}  # not the params' order
+    bad[first].reshape(-1)[1] = bad_value
+    bad[later].reshape(-1)[0] = np.nan
+    before = [st.flat.tobytes(), st.m.tobytes(), st.v.tobytes(), st.t]
+    with pytest.raises(FloatingPointError) as e:
+        step(model.params, bad, st)
+    assert str(e.value) == f"divergence: non-finite gradient in {first} at step 2"
+    assert [st.flat.tobytes(), st.m.tobytes(), st.v.tobytes(), st.t] == before
+    step(model.params, good, st)  # the state is still usable
+    assert st.t == 2
+
+
+# --------------------------------------------------- kernel oracles
+# The formulas the step kernels had before they were rewritten as in-place
+# ufunc calls; every rewrite must give the same bits.
+
+def ref_erf(x):
+    from warplm.nnet.encoder import _ERF32_P, _ERF32_Q, _horner
+    if x.dtype != np.float32:
+        return np.asarray(np.frompyfunc(math.erf, 1, 1)(x), dtype=x.dtype)
+    x = np.clip(x, -4.0, 4.0)
+    x2 = x * x
+    p = _horner(x2, _ERF32_P)
+    p *= x
+    p /= _horner(x2, _ERF32_Q)
+    return np.clip(p, -1.0, 1.0, out=p)
+
+
+def ref_gelu_grad(u, phi2):
+    return 0.5 * phi2 + u * np.exp(-0.5 * u * u) * (1.0 / math.sqrt(2.0 * math.pi))
+
+
+def ref_softmax(x, axis=-1):
+    z = x - np.max(x, axis=axis, keepdims=True)
+    e = np.exp(z)
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
+def ref_layer_norm(x, g, b):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = xc * inv
+    return g * xhat + b, (xhat, inv)
+
+
+def ref_layer_norm_backward(grads, P, name, dy, cache):
+    xhat, inv = cache
+    grads[name + ".g"] += np.sum(dy * xhat, axis=(0, 1))
+    grads[name + ".b"] += np.sum(dy, axis=(0, 1))
+    dxhat = dy * P[name + ".g"]
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = np.mean(dxhat * xhat, axis=-1, keepdims=True)
+    return inv * (dxhat - m1 - xhat * m2)
+
+
+def ref_linear_backward(grads, P, w, b, x, dy):
+    grads[b] += dy.sum(axis=(0, 1))
+    grads[w] += np.tensordot(x, dy, axes=([0, 1], [0, 1]))
+    return dy @ P[w].T
+
+
+EDGES = [np.inf, -np.inf, np.nan, -0.0, 0.0, 4.0, -4.0, 1e30, -1e30]
+
+
+def edge_sample(rng, shape, dtype, scale=2.0, edges=True):
+    """Normal draws, with every edge value (and the floats next to the
+    +-4 clip bounds) planted at random positions when `edges`."""
+    x = rng.normal(0.0, scale, size=shape).astype(dtype)
+    if edges:
+        four = np.array(4.0, dtype)
+        planted = EDGES + [np.nextafter(four, 0), np.nextafter(four, 8),
+                           -np.nextafter(four, 0), -np.nextafter(four, 8)]
+        flat = x.reshape(-1)
+        flat[rng.choice(flat.size, len(planted), replace=False)] = planted
+    return x
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+DTYPES = [np.float32, np.float64]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_elementwise_kernels_match_their_reference_bits(dtype):
+    from warplm.nnet.encoder import erf
+    rng = np.random.default_rng(11)
+    with np.errstate(all="ignore"):
+        for _ in range(5):
+            u = edge_sample(rng, (4, 9, 24), dtype, scale=3.0)
+            assert_same_bits(erf(u), ref_erf(u))
+            _, phi2 = _gelu(u)
+            assert_same_bits(phi2, 1.0 + ref_erf(u * (1.0 / math.sqrt(2.0))))
+            assert_same_bits(_gelu_grad(u, phi2), ref_gelu_grad(u, phi2))
+            for axis in (-1, 1):
+                assert_same_bits(softmax(u, axis=axis), ref_softmax(u, axis=axis))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("edges", [False, True])
+@pytest.mark.parametrize("B,T,D", [(2, 7, 8), (16, 11, 64), (32, 23, 64)])
+def test_layer_norm_kernels_match_their_reference_bits(dtype, edges, B, T, D):
+    rng = np.random.default_rng(B * T + D)
+    x = edge_sample(rng, (B, T, D), dtype, edges=edges)
+    dy = edge_sample(rng, (B, T, D), dtype, edges=edges)
+    g, b = rng.normal(1.0, 0.1, D).astype(dtype), rng.normal(0.0, 0.1, D).astype(dtype)
+    with np.errstate(all="ignore"):
+        y, cache = _layer_norm(x, g, b)
+        ref_y, ref_cache = ref_layer_norm(x, g, b)
+        assert_same_bits(y, ref_y)
+        for got, want in zip(cache, ref_cache):
+            assert_same_bits(got, want)
+        grads = {"ln.g": np.zeros(D, dtype), "ln.b": np.zeros(D, dtype)}
+        ref_grads = {k: a.copy() for k, a in grads.items()}
+        dx = warplm.nnet.encoder._layer_norm_backward(grads, {"ln.g": g}, "ln", dy, cache)
+        ref_dx = ref_layer_norm_backward(ref_grads, {"ln.g": g}, "ln", dy, ref_cache)
+    assert_same_bits(dx, ref_dx)
+    for k in grads:
+        assert_same_bits(grads[k], ref_grads[k])
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("edges", [False, True])
+@pytest.mark.parametrize("B,T,D_in,D_out", [
+    (2, 7, 8, 12), (2, 7, 12, 8), (16, 11, 64, 64), (16, 11, 64, 256),
+    (16, 11, 256, 64), (32, 23, 64, 256), (32, 23, 256, 64),
+])
+def test_linear_backward_matches_its_reference_bits(dtype, edges, B, T, D_in, D_out):
+    rng = np.random.default_rng(B + T + D_in * D_out)
+    x = edge_sample(rng, (B, T, D_in), dtype, edges=edges)
+    dy = edge_sample(rng, (B, T, D_out), dtype, edges=edges)
+    P = {"w": rng.normal(0.0, 0.02, (D_in, D_out)).astype(dtype)}
+    grads = {"w": np.zeros((D_in, D_out), dtype), "b": np.zeros(D_out, dtype)}
+    ref_grads = {k: a.copy() for k, a in grads.items()}
+    with np.errstate(all="ignore"):
+        dx = warplm.nnet.encoder._linear_backward(grads, P, "w", "b", x, dy)
+        ref_dx = ref_linear_backward(ref_grads, P, "w", "b", x, dy)
+    assert_same_bits(dx, ref_dx)
+    for k in grads:
+        assert_same_bits(grads[k], ref_grads[k])
+
+
 # ------------------------------------------------------------- checkpoints
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):

@@ -21,6 +21,7 @@ from warplm.slu import (
     finetune,
     init_slu_model,
     intent_accuracy,
+    kept_epoch,
     iob_is_valid,
     iob_repair,
     iob_spans,
@@ -238,6 +239,18 @@ def test_parse_errors():
         parse_slu_text("#intent\tx\nplay O no tabs\n\n", VOCAB)
     with pytest.raises(ValueError, match="duplicate #intent"):
         parse_slu_text("#intent\tx\n#intent\ty\nplay\tO\n\n", VOCAB)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("a\tO\nb\tO\n\n", "line 1: utterance without #intent header"),
+    ("x\tO\n", "line 1: utterance without #intent header"),
+    ("#intent\tx\n\n", "line 1: utterance with no tokens"),
+    ("#intent\tx\nplay\tO\n\n\n\nplay\tO\njazz\tO\n", "line 6: utterance without #intent header"),
+])
+def test_parse_errors_name_the_line_the_utterance_starts_on(text, message):
+    with pytest.raises(ValueError) as e:
+        parse_slu_text(text, VOCAB)
+    assert str(e.value) == message
 
 
 @pytest.mark.parametrize("tag", ["B_city", "b-city", "B-", "I-", "mid-token", "o", ""])
@@ -482,6 +495,25 @@ def test_finetune_deterministic():
     for k in m1.head:
         assert np.array_equal(m1.head[k], m2.head[k])
     assert [asdict(r) for r in h1] == [asdict(r) for r in h2]
+
+
+def test_finetune_returns_the_weights_it_trained():
+    """The returned model views the trained (kept-epoch) parameters: it
+    scores the validation set as the kept epoch did, and neither its
+    encoder nor its heads are still at their initial values."""
+    utts = synth_slu_utterances(60, VOCAB, seed=0)
+    enc = desk_encoder(seed=0)
+    model, hist = finetune(enc, utts[:40], utts[40:], epochs=12, batch_size=8,
+                           lr=2e-3, seed=0)
+    kept = kept_epoch(hist)
+    assert kept is not hist[-1]  # the kept weights had to be restored
+    m = evaluate_slu(model, utts[40:])
+    assert (m.intent_accuracy, m.slot_f1, m.joint_accuracy) == (
+        kept.intent_accuracy, kept.slot_f1, kept.joint_accuracy)
+    initial = init_slu_model(enc, model.intent_labels, model.tag_labels, seed=0)
+    assert not all(np.array_equal(enc.params[k], model.encoder.params[k]) for k in enc.params)
+    for k in model.head:
+        assert not np.array_equal(initial.head[k], model.head[k]), k
 
 
 def test_finetune_does_not_mutate_input_encoder():
