@@ -13,21 +13,21 @@ share their fine-tuned models: clean-clean and clean-noisy score one model
 per (objective, seed) on the two test sets.
 
 The matrix's independent cells (one pretrain per objective, then one
-fine-tune and evaluation per training set, objective and seed) run on a
-thread pool with one worker per usable CPU, so at most one fine-tuned model
-per worker is alive at a time. Each cell keeps its own seed streams and the
-results are consumed in matrix order, so the artifacts do not depend on the
-number of workers.
+fine-tune and evaluation per training set, objective and seed) run in up to
+one process per usable CPU: this process runs its share of them itself and
+forked children run the rest, so at most one fine-tuned model per process
+is alive at a time. Forking needs a POSIX system (Linux, where a child also
+dies with its parent). Each cell keeps its own seed streams and the results
+are consumed in matrix order, so the artifacts do not depend on the number
+of processes.
 """
 
 from __future__ import annotations
 
-import contextvars
 import ctypes
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -220,26 +220,78 @@ def _openblas_thread_controls() -> list:
     return []
 
 
+# The cells of the running _run_cells call (one call at a time per process).
+# Its children are forked after this is set, so they reach a cell by its
+# index and only results cross the pipe; the cells may be closures.
+_CELLS: list = []
+
+PR_SET_PDEATHSIG = 1  # linux/prctl.h
+
+
+def _run_cell(i: int):
+    return _CELLS[i]()
+
+
+def _die_with(parent: int) -> None:
+    """Initializer of a cell process: have the kernel kill it when its parent
+    dies (where libc has prctl), and exit if the parent is already gone."""
+    import signal
+
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:
+        os._exit(1)
+
+
 def _run_cells(cells: list) -> list:
-    """Call each zero-argument function in `cells` on a pool of up to one
-    thread per usable CPU and return their results in order. Each cell runs
-    in a copy of the caller's context, so numpy's errstate (a context
-    variable) holds inside it. numpy's OpenBLAS is pinned to one thread
-    while the pool runs, since the workers already use every CPU, and its
-    old count is restored after. The first failing cell in order re-raises
-    its exception here, and cells not yet started are cancelled."""
+    """Call each zero-argument function in `cells` and return their results
+    in order. With n = min(usable CPUs, len(cells)), this process runs
+    cells[0::n] itself and n-1 forked children run the rest; at n == 1
+    nothing is forked. The children inherit numpy's errstate and numpy's
+    OpenBLAS, which is pinned to one thread while the cells run, since the
+    processes already use every CPU, and restored after. The first failing
+    cell in order re-raises its exception here, and cells not yet started
+    are cancelled. A child that dies raises ChildProcessError."""
+    # Imported here, not at the top: they add about 10 ms to importing the package.
+    import multiprocessing
+    from concurrent.futures import Future
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    global _CELLS
+    n = min(_usable_cpus(), len(cells))
     controls = _openblas_thread_controls()
     old = [get() for get, _ in controls]
-    pool = ThreadPoolExecutor(min(_usable_cpus(), len(cells)))
+    pool = None
     try:
         for _, set_ in controls:
             set_(1)
-        futures = [pool.submit(contextvars.copy_context().run, cell) for cell in cells]
+        _CELLS = cells
+        futures = [None] * len(cells)
+        if n > 1:
+            pool = ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork"),
+                                       initializer=_die_with, initargs=(os.getpid(),))
+            for i in range(len(cells)):
+                if i % n:
+                    futures[i] = pool.submit(_run_cell, i)
+        for i in range(0, len(cells), n):
+            if any(f.done() and f.exception() is not None for f in futures[:i]):
+                break  # an earlier cell failed, so the cells from here are not needed
+            futures[i] = Future()
+            try:
+                futures[i].set_result(cells[i]())
+            except Exception as e:
+                futures[i].set_exception(e)
+                break
         return [f.result() for f in futures]
+    except BrokenProcessPool as e:
+        raise ChildProcessError(f"a process running matrix cells died: {e}") from e
     finally:
-        pool.shutdown(cancel_futures=True)
-        for (_, set_), n in zip(controls, old):
-            set_(n)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+        _CELLS = []
+        for (_, set_), count in zip(controls, old):
+            set_(count)
 
 
 def write_synthetic_data(out_dir, n_corpus: int, n_train: int, n_val: int, n_test: int,

@@ -1,15 +1,20 @@
 import itertools
 import json
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
 import sys
-import threading
 import time
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import warplm.experiment
+from warplm.cli import main
 from warplm.experiment import (
     METRICS,
     ExperimentMatrix,
@@ -168,17 +173,30 @@ def wrap(monkeypatch, name, before):
     monkeypatch.setattr(warplm.experiment, name, wrapper)
 
 
-def count_finetunes(monkeypatch):
-    calls = []
-    wrap(monkeypatch, "finetune", lambda a, kw: calls.append(kw["seed"]))
-    return calls
+def journal(monkeypatch, tmp_path, name, fields):
+    """Wrap warplm.experiment.<name> so that each call, in whichever process
+    runs it, appends fields(args, kwargs) to a file under tmp_path as one JSON
+    line. Returns a function that reads the calls so far."""
+    path = tmp_path / f"{name}.calls.jsonl"
+
+    def append(args, kwargs):
+        with open(path, "a", encoding="utf-8") as f:
+            f.write(json.dumps(fields(args, kwargs)) + "\n")
+
+    wrap(monkeypatch, name, append)
+    return lambda: ([json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+                    if path.exists() else [])
+
+
+def count_finetunes(monkeypatch, tmp_path):
+    return journal(monkeypatch, tmp_path, "finetune", lambda a, kw: kw["seed"])
 
 
 def test_run_experiment_fine_tunes_once_per_training_set(tmp_path, monkeypatch):
-    calls = count_finetunes(monkeypatch)
+    calls = count_finetunes(monkeypatch, tmp_path)
     report = run_experiment(tmp_path / "exp", ExperimentMatrix(seeds=(0, 1)), **MICRO, log=None)
     assert len(report.records) == 12  # 3 settings x 2 objectives x 2 seeds
-    assert len(calls) == 8  # (clean, noisy) training sets x 2 objectives x 2 seeds
+    assert len(calls()) == 8  # (clean, noisy) training sets x 2 objectives x 2 seeds
 
 
 def run_lines(log, settings):
@@ -203,10 +221,10 @@ def test_shared_fine_tunes_keep_matrix_order_and_values(tmp_path, monkeypatch):
     matrix = ExperimentMatrix(settings=("noisy-noisy", "clean-noisy", "clean-clean"),
                               seeds=(1, 0))
     ref_records, ref_lines = per_setting_reference(tmp_path / "ref", matrix)
-    calls = count_finetunes(monkeypatch)
+    calls = count_finetunes(monkeypatch, tmp_path)
     log = []
     report = run_experiment(tmp_path / "exp", matrix, **MICRO, log=log.append)
-    assert len(calls) == 8
+    assert len(calls()) == 8
     assert report.records == ref_records
     assert [(r.setting, r.objective, r.seed) for r in report.records] == list(
         itertools.product(matrix.settings, matrix.objectives, matrix.seeds))
@@ -218,20 +236,22 @@ def test_shared_fine_tunes_keep_matrix_order_and_values(tmp_path, monkeypatch):
 
 @pytest.fixture
 def three_workers(monkeypatch):
-    """A pool of three workers whatever the host's CPU count."""
+    """Three cell processes (this one and two forked children) whatever the
+    host's CPU count."""
     monkeypatch.setattr(warplm.experiment, "_usable_cpus", lambda: 3)
 
 
 def test_cells_run_under_the_callers_errstate(tmp_path, monkeypatch, three_workers):
-    seen = []
-    for name in ("pretrain", "finetune"):
-        wrap(monkeypatch, name, lambda a, kw, name=name: seen.append(
-            (name, threading.current_thread(), np.geterr())))
+    calls = {name: journal(monkeypatch, tmp_path, name,
+                           lambda a, kw: (os.getpid(), np.geterr()))
+             for name in ("pretrain", "finetune")}
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         run_experiment(tmp_path / "exp", ExperimentMatrix(seeds=(0, 1)), **MICRO, log=None)
+    seen = [(name, pid, err) for name, read in calls.items() for pid, err in read()]
     assert sorted(n for n, _, _ in seen) == ["finetune"] * 8 + ["pretrain"] * 2
-    for name, thread, err in seen:
-        assert thread is not threading.main_thread()
+    for name in calls:  # each kind of cell ran in a forked child at least once
+        assert any(n == name and pid != os.getpid() for n, pid, _ in seen), name
+    for name, _, err in seen:
         assert (err["over"], err["invalid"], err["divide"]) == ("raise",) * 3, name
 
 
@@ -318,10 +338,9 @@ def openblas():
 
 
 def test_blas_threads_are_pinned_during_the_run_and_restored(tmp_path, monkeypatch, openblas):
-    during = []
-    wrap(monkeypatch, "finetune", lambda a, kw: during.append(openblas()))
+    during = journal(monkeypatch, tmp_path, "finetune", lambda a, kw: openblas())
     run_experiment(tmp_path / "ok", ExperimentMatrix(seeds=(0,)), **MICRO, log=None)
-    assert during == [1] * 4
+    assert during() == [1] * 4
     assert openblas() == 2
 
     def fail(a, kw):
@@ -331,3 +350,108 @@ def test_blas_threads_are_pinned_during_the_run_and_restored(tmp_path, monkeypat
     with pytest.raises(CellFailure):
         run_experiment(tmp_path / "failed", ExperimentMatrix(seeds=(0,)), **MICRO, log=None)
     assert openblas() == 2
+
+
+def test_no_cell_process_outlives_the_run(tmp_path, monkeypatch, three_workers):
+    run_experiment(tmp_path / "ok", ExperimentMatrix(seeds=(0,)), **MICRO, log=None)
+    assert multiprocessing.active_children() == []
+
+    def fail(a, kw):
+        raise CellFailure()
+
+    wrap(monkeypatch, "finetune", fail)
+    with pytest.raises(CellFailure):
+        run_experiment(tmp_path / "failed", ExperimentMatrix(seeds=(0,)), **MICRO, log=None)
+    assert multiprocessing.active_children() == []
+
+
+MICRO_FLAGS = [arg for k, v in MICRO.items() for arg in (f"--{k.replace('_', '-')}", str(v))]
+
+
+def test_a_dead_cell_process_is_one_error_line_and_exit_code_2(
+        tmp_path, monkeypatch, capsys, three_workers):
+    caller = os.getpid()
+
+    def die_in_a_child(a, kw):
+        if os.getpid() != caller:
+            os._exit(3)
+
+    wrap(monkeypatch, "finetune", die_in_a_child)
+    code = main(["experiment", "--out", str(tmp_path / "exp"), "--n-seeds", "2", *MICRO_FLAGS])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: a process running matrix cells died")
+    assert err.count("\n") == 1
+    assert multiprocessing.active_children() == []
+
+
+def _gone(pid: int) -> bool:
+    """True once `pid` has exited (a zombie counts as exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] in "ZX"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_cell_processes_die_with_their_parent(tmp_path):
+    # A run whose own first fine-tune cell records the pids of its cell
+    # processes and then hangs until this test kills it.
+    script = f"""
+import multiprocessing, os, sys, time
+import warplm.experiment as ex
+real, caller = ex.finetune, os.getpid()
+def finetune(*a, **kw):
+    if os.getpid() == caller:
+        pids = " ".join(str(p.pid) for p in multiprocessing.active_children())
+        with open(sys.argv[1] + ".part", "w") as f:
+            f.write(pids)
+        os.replace(sys.argv[1] + ".part", sys.argv[1])
+        time.sleep(600)
+    return real(*a, **kw)
+ex.finetune, ex._usable_cpus = finetune, lambda: 3
+ex.run_experiment(sys.argv[2], ex.ExperimentMatrix(seeds=(0,)), **{MICRO!r}, log=None)
+"""
+    pid_file = tmp_path / "pids"
+    env = {**os.environ, "PYTHONPATH": str(Path(warplm.experiment.__file__).parents[1])}
+    run = subprocess.Popen([sys.executable, "-c", script, str(pid_file), str(tmp_path / "exp")],
+                           env=env)
+    pids = []
+    try:
+        deadline = time.monotonic() + 120
+        while not pid_file.exists():
+            assert run.poll() is None, "the run ended before its fine-tune cells"
+            assert time.monotonic() < deadline, "the run never reached its fine-tune cells"
+            time.sleep(0.05)
+        pids = [int(p) for p in pid_file.read_text().split()]
+        assert len(pids) == 2
+        run.kill()
+        run.wait()
+        deadline = time.monotonic() + 5
+        while not all(map(_gone, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert all(map(_gone, pids)), "a cell process outlived its killed parent"
+    finally:
+        run.kill()
+        run.wait()
+        for pid in pids:
+            if not _gone(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
+def test_one_cpu_runs_every_cell_here_and_writes_the_same_bytes(tmp_path, monkeypatch):
+    matrix = ExperimentMatrix(seeds=(0, 1))
+    monkeypatch.setattr(warplm.experiment, "_usable_cpus", lambda: 2)
+    run_experiment(tmp_path / "two", matrix, **MICRO, log=None)
+    monkeypatch.setattr(warplm.experiment, "_usable_cpus", lambda: 1)
+    calls = {name: journal(monkeypatch, tmp_path, name, lambda a, kw: (
+        os.getpid(), len(multiprocessing.active_children()))) for name in ("pretrain", "finetune")}
+    run_experiment(tmp_path / "one", matrix, **MICRO, log=None)
+    assert [len(read()) for read in calls.values()] == [2, 8]
+    for read in calls.values():
+        assert read() == [[os.getpid(), 0]] * len(read())
+    files = sorted(p.relative_to(tmp_path / "two") for p in (tmp_path / "two").rglob("*"))
+    assert files == sorted(p.relative_to(tmp_path / "one") for p in (tmp_path / "one").rglob("*"))
+    for f in files:
+        assert (tmp_path / "one" / f).read_bytes() == (tmp_path / "two" / f).read_bytes(), f
