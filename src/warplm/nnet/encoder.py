@@ -1,8 +1,21 @@
 """Forward and exact backward pass for the tied-embedding encoder.
 
-Shapes: B batch, T sequence, D d_model, H heads, K d_head, F d_ff, V vocab.
-All gradients are derived by hand and checked against finite differences in
-the test suite; keep forward and backward in lockstep when editing.
+Shapes: B batch, T sequence, D d_model, H heads, K d_head, F d_ff, V vocab,
+N the real (non-pad) positions of a batch. All gradients are derived by
+hand and checked against finite differences in the test suite; keep
+forward and backward in lockstep when editing.
+
+Packed layout: `forward` gathers the N real positions of the [B, T] grid
+once, in row-major order (`pad_mask` is the index), and every per-token
+layer (embedding sum, layer norm, the q/k/v/o and FFN projections, GELU,
+dropout, residual) runs on [N, D] / [N, F] rows. q, k and v are scattered
+into a zeroed [B, T, D] only for the attention scores and `probs @ v`, and
+the context is gathered straight back. `hidden` is returned as [B, T, D]
+through one scatter and is exactly 0 at padding, so pad contents cannot
+reach any output or gradient. `encoder_backward` mirrors this from the
+real rows of `d_hidden`. Dropout masks are drawn at the padded [B, T, D]
+shape and then gathered, so the generator's stream is that of a dense
+pass. The tests keep the dense [B, T, D] encoder as an oracle.
 
 Activations, logits and gradients keep the parameter dtype: float32 models
 compute in float32 and float64 models (the gradient checks) in float64.
@@ -118,25 +131,27 @@ def _layer_norm(x, g, b):
 
 def _layer_norm_backward(grads, P, name, dy, cache):
     """Add the gradients of layer norm `name` ({name}.g, {name}.b) to
-    `grads`; returns dLoss/dx."""
+    `grads`, summed over every leading axis of dy ([N,D] or [B,T,D]);
+    returns dLoss/dx."""
     xhat, inv = cache
+    lead = tuple(range(dy.ndim - 1))
     t = dy * xhat
-    grads[name + ".g"] += np.add.reduce(t, axis=(0, 1))
-    grads[name + ".b"] += np.add.reduce(dy, axis=(0, 1))
+    grads[name + ".g"] += np.add.reduce(t, axis=lead)
+    grads[name + ".b"] += np.add.reduce(dy, axis=lead)
     dx = dy * P[name + ".g"]  # dLoss/dxhat, then dLoss/dx in place
     m1 = _mean_last(dx)
     m2 = _mean_last(np.multiply(dx, xhat, out=t))
     # inv * (dxhat - m1 - xhat * m2)
     dx -= m1
     dx -= np.multiply(xhat, m2, out=t)
-    dx *= inv
+    np.multiply(inv, dx, out=dx)  # inv first: of two NaNs, x86 keeps the first one's sign
     return dx
 
 
 def _linear_backward(grads, P, w, b, x, dy):
-    """Add the gradients of y = x @ P[w] + P[b] (x, dy [B,T,*]) to `grads`;
-    returns dLoss/dx."""
-    grads[b] += np.add.reduce(dy, axis=(0, 1))
+    """Add the gradients of y = x @ P[w] + P[b] to `grads`, summed over
+    every leading axis of x and dy ([N,*] or [B,T,*]); returns dLoss/dx."""
+    grads[b] += np.add.reduce(dy, axis=tuple(range(dy.ndim - 1)))
     grads[w] += x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
     return dy @ P[w].T
 
@@ -148,11 +163,14 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e
 
 
-def _dropout_mask(rng, shape, rate, dtype):
-    # Inverted dropout; None means identity.
+def _dropout_mask(rng, shape, rate, dtype, rows):
+    """Inverted-dropout scale for the packed rows: drawn at the padded
+    `shape` [B,T,D], so the generator's stream does not depend on where the
+    padding is, then gathered at `rows` -> [N,D]. None means identity."""
     if rng is None or rate <= 0.0:
         return None
-    keep = (rng.random(shape) >= rate).astype(dtype)
+    keep = np.take((rng.random(shape) >= rate).reshape(-1, shape[-1]), rows, axis=0)
+    keep = keep.astype(dtype)
     keep /= dtype.type(1.0 - rate)
     return keep
 
@@ -162,9 +180,17 @@ def _split_heads(x, n_heads):
     return x.reshape(B, T, n_heads, D // n_heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x):
+def _packed_heads(x, rows):
+    """[B,H,T,K] -> the rows of its merged [B*T, H*K] view at `rows`, [N,H*K]."""
     B, H, T, K = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(B, T, H * K)
+    return np.take(x.transpose(0, 2, 1, 3).reshape(B * T, H * K), rows, axis=0)
+
+
+def _add_rows(g, index, dy):
+    """g[index[i]] += dy[i] for every row i in order (np.add.at), through
+    g's flat view: numpy's add.at is fast only on 1-d operands."""
+    D = g.shape[-1]
+    np.add.at(g.reshape(-1), (index[:, None] * D + np.arange(D)).reshape(-1), dy.reshape(-1))
 
 
 def pad_rows(rows, max_len: int, fill, dtype=np.int64):
@@ -189,9 +215,11 @@ def forward(
 ):
     """Run the encoder. Returns (hidden [B,T,D], cache for backward).
 
-    pad_mask is True at real positions. PAD key positions receive an
-    additive -1e9 attention score, so no real position ever attends to
-    padding and pad contents cannot influence non-pad outputs.
+    pad_mask is True at real positions. Only those N positions are computed:
+    every per-token layer runs on packed [N,D] rows, and q, k and v are
+    scattered into [B,T,D] (zero at padding) only for the attention scores,
+    where PAD keys receive an additive -1e9. `hidden` is exactly 0 at
+    padding, so pad contents cannot influence any output.
     """
     cfg, P = model.config, model.params
     ids = np.asarray(input_ids)
@@ -207,51 +235,67 @@ def forward(
         raise ValueError("input id outside vocabulary range")
 
     dtype = P["tok_emb"].dtype
+    D, H = cfg.d_model, cfg.n_heads
     scale = dtype.type(1.0 / np.sqrt(cfg.d_head))
     # [B,1,1,T] additive bias over key positions
     att_bias = np.where(mask[:, None, None, :], dtype.type(0.0), dtype.type(NEG_INF))
+    rows = np.flatnonzero(mask)  # the real positions of the [B*T] grid, row-major
+    tok_ids = ids.reshape(-1)[rows]
+    grid = (B, T, D)
 
-    e = P["tok_emb"][ids] + P["pos_emb"][:T][None, :, :]
-    emb_drop = _dropout_mask(dropout_rng, e.shape, cfg.dropout, dtype)
-    h = e if emb_drop is None else e * emb_drop
+    h = np.take(P["tok_emb"], tok_ids, axis=0)
+    h += np.take(P["pos_emb"], rows % T, axis=0)
+    emb_drop = _dropout_mask(dropout_rng, grid, cfg.dropout, dtype, rows)
+    if emb_drop is not None:
+        h *= emb_drop
 
     layers = []
     for l in range(cfg.n_layers):
         p = f"layers.{l}."
         x1, ln1c = _layer_norm(h, P[p + "ln1.g"], P[p + "ln1.b"])
-        q = _split_heads(x1 @ P[p + "attn.wq"] + P[p + "attn.bq"], cfg.n_heads)
-        k = _split_heads(x1 @ P[p + "attn.wk"] + P[p + "attn.bk"], cfg.n_heads)
-        v = _split_heads(x1 @ P[p + "attn.wv"] + P[p + "attn.bv"], cfg.n_heads)
+        qkv = np.zeros((3, B * T, D), dtype)
+        for j, nm in enumerate("qkv"):
+            z = x1 @ P[p + f"attn.w{nm}"]
+            z += P[p + f"attn.b{nm}"]
+            qkv[j, rows] = z
+        q, k, v = (_split_heads(x.reshape(grid), H) for x in qkv)
         s = q @ k.transpose(0, 1, 3, 2)
         s *= scale
         s += att_bias
         probs = softmax(s, axis=-1)
-        ctx = _merge_heads(probs @ v)
-        attn = ctx @ P[p + "attn.wo"] + P[p + "attn.bo"]
-        attn_drop = _dropout_mask(dropout_rng, attn.shape, cfg.dropout, dtype)
+        ctx = _packed_heads(probs @ v, rows)
+        attn = ctx @ P[p + "attn.wo"]
+        attn += P[p + "attn.bo"]
+        attn_drop = _dropout_mask(dropout_rng, grid, cfg.dropout, dtype, rows)
         if attn_drop is not None:
-            attn = attn * attn_drop
-        h = h + attn
+            attn *= attn_drop
+        h += attn
 
         x2, ln2c = _layer_norm(h, P[p + "ln2.g"], P[p + "ln2.b"])
-        u = x2 @ P[p + "ffn.w1"] + P[p + "ffn.b1"]
+        u = x2 @ P[p + "ffn.w1"]
+        u += P[p + "ffn.b1"]
         a, phi2 = _gelu(u)
-        f = a @ P[p + "ffn.w2"] + P[p + "ffn.b2"]
-        ffn_drop = _dropout_mask(dropout_rng, f.shape, cfg.dropout, dtype)
+        f = a @ P[p + "ffn.w2"]
+        f += P[p + "ffn.b2"]
+        ffn_drop = _dropout_mask(dropout_rng, grid, cfg.dropout, dtype, rows)
         if ffn_drop is not None:
-            f = f * ffn_drop
-        h = h + f
+            f *= ffn_drop
+        h += f
 
         layers.append(
             dict(
                 x1=x1, ln1c=ln1c, q=q, k=k, v=v, probs=probs, ctx=ctx,
-                attn_drop=attn_drop, x2=x2, ln2c=ln2c, u=u, phi2=phi2, ffn_drop=ffn_drop,
+                attn_drop=attn_drop, x2=x2, ln2c=ln2c, u=u, a=a, phi2=phi2,
+                ffn_drop=ffn_drop,
             )
         )
 
-    hidden, lnfc = _layer_norm(h, P["final_ln.g"], P["final_ln.b"])
+    h, lnfc = _layer_norm(h, P["final_ln.g"], P["final_ln.b"])
+    hidden = np.zeros((B * T, D), dtype)
+    hidden[rows] = h
+    hidden = hidden.reshape(grid)
     cache = dict(
-        ids=ids, mask=mask, emb_drop=emb_drop, layers=layers, lnfc=lnfc,
+        rows=rows, tok_ids=tok_ids, emb_drop=emb_drop, layers=layers, lnfc=lnfc,
         hidden=hidden, scale=scale,
     )
     return hidden, cache
@@ -266,18 +310,19 @@ def encoder_backward(
 ) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss w.r.t. every encoder parameter.
 
-    d_hidden is dLoss/d(hidden) from whatever head sits on top. d_tok_emb is
-    the tied head's gradient for tok_emb, added after the input-embedding
-    scatter; out_bias is left to the head (lm_backward on the LM path).
+    d_hidden [B,T,D] is dLoss/d(hidden) from whatever head sits on top; only
+    its real positions are read. d_tok_emb is the tied head's gradient for
+    tok_emb, added after the input-embedding scatter; out_bias is left to
+    the head (lm_backward on the LM path).
     """
     cfg, P = model.config, model.params
-    ids, mask = cache["ids"], cache["mask"]
-    B, T = ids.shape
-    D = cfg.d_model
+    rows = cache["rows"]
+    B, T, D = cache["hidden"].shape
     # every gradient is a view of one zeroed allocation
     grads = flat_views(np.zeros(sum([p.size for p in P.values()]), P["tok_emb"].dtype), P)
 
-    dh = _layer_norm_backward(grads, P, "final_ln", d_hidden, cache["lnfc"])
+    dh = np.take(d_hidden.reshape(B * T, D), rows, axis=0)
+    dh = _layer_norm_backward(grads, P, "final_ln", dh, cache["lnfc"])
 
     for l in reversed(range(cfg.n_layers)):
         p = f"layers.{l}."
@@ -285,10 +330,7 @@ def encoder_backward(
 
         # h_out = h_mid + drop(ffn(LN2(h_mid)))
         df = dh if c["ffn_drop"] is None else dh * c["ffn_drop"]
-        # a = gelu(u), recomputed rather than cached so the cache holds no
-        # more [B,T,F] arrays; these are the forward's own ops, so same bits
-        a = 0.5 * c["u"] * c["phi2"]
-        da = _linear_backward(grads, P, p + "ffn.w2", p + "ffn.b2", a, df)
+        da = _linear_backward(grads, P, p + "ffn.w2", p + "ffn.b2", c["a"], df)
         du = _gelu_grad(c["u"], c["phi2"])
         du *= da
         dx2 = _linear_backward(grads, P, p + "ffn.w1", p + "ffn.b1", c["x2"], du)
@@ -296,8 +338,9 @@ def encoder_backward(
 
         # h_mid = h_in + drop(attn(LN1(h_in)))
         dattn = dh if c["attn_drop"] is None else dh * c["attn_drop"]
-        dctx = _linear_backward(grads, P, p + "attn.wo", p + "attn.bo", c["ctx"], dattn)
-        dctx = _split_heads(dctx, cfg.n_heads)
+        dctx = np.zeros((B * T, D), dh.dtype)
+        dctx[rows] = _linear_backward(grads, P, p + "attn.wo", p + "attn.bo", c["ctx"], dattn)
+        dctx = _split_heads(dctx.reshape(B, T, D), cfg.n_heads)
         dprobs = dctx @ c["v"].transpose(0, 1, 3, 2)
         dv = c["probs"].transpose(0, 1, 3, 2) @ dctx
         # ds = probs * (dprobs - sum(dprobs * probs)), in dprobs's buffer
@@ -307,15 +350,16 @@ def encoder_backward(
         dq *= cache["scale"]
         dk = ds.transpose(0, 1, 3, 2) @ c["q"]
         dk *= cache["scale"]
-        dx1 = np.zeros((B, T, D), dtype=dh.dtype)
+        dx1 = np.zeros_like(dh)
         for nm, dz in (("q", dq), ("k", dk), ("v", dv)):
             dx1 += _linear_backward(grads, P, p + f"attn.w{nm}", p + f"attn.b{nm}",
-                                    c["x1"], _merge_heads(dz))
+                                    c["x1"], _packed_heads(dz, rows))
         dh += _layer_norm_backward(grads, P, p + "ln1", dx1, c["ln1c"])
 
-    de = dh if cache["emb_drop"] is None else dh * cache["emb_drop"]
-    grads["pos_emb"][:T] += np.add.reduce(de, axis=0)
-    np.add.at(grads["tok_emb"], ids.reshape(-1), de.reshape(-1, D))
+    if cache["emb_drop"] is not None:
+        dh *= cache["emb_drop"]
+    _add_rows(grads["pos_emb"], rows % T, dh)
+    _add_rows(grads["tok_emb"], cache["tok_ids"], dh)
     if d_tok_emb is not None:
         grads["tok_emb"] += d_tok_emb
     if freeze_ins:

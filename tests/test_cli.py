@@ -26,6 +26,7 @@ from warplm.slu import init_slu_model, label_inventory, load_slu, load_slu_file,
 from warplm.textcore import load_vocab
 
 DIGEST_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "pipeline_digest.py"
+DRIFT_SCRIPT = DIGEST_SCRIPT.with_name("ckpt_drift.py")
 
 
 def run(capsys, *argv):
@@ -684,6 +685,27 @@ def test_every_subcommand_is_deterministic(tmp_path):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
     assert digest.run(tmp_path / "a") == digest.run(tmp_path / "b")
+
+
+def test_ckpt_drift_reports_per_tensor_and_worst_difference(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("ckpt_drift", DRIFT_SCRIPT)
+    drift = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(drift)
+    model = init_model(ModelConfig(vocab_size=17, d_model=8, n_layers=1, n_heads=2, d_ff=12,
+                                   max_len=10), seed=0)
+    save_encoder(tmp_path / "a.ckpt", model, "h")
+    model.params["layers.0.ffn.w1"][0, 0] *= 1.5
+    save_encoder(tmp_path / "b.ckpt", model, "h")
+    assert drift.cli([str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")]) == 0
+    lines = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()}
+    assert lines["layers.0.ffn.w1"][0] == "1/96"
+    assert float(lines["layers.0.ffn.w1"][2]) == pytest.approx(1 / 3, rel=1e-3)
+    assert lines["tok_emb"] == ["0/136", "0", "0"]
+    assert lines["all"][1] == lines["layers.0.ffn.w1"][2]
+    (tmp_path / "c.ckpt").write_bytes(b"garbage")
+    assert drift.cli([str(tmp_path / "a.ckpt"), str(tmp_path / "c.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------- malformed input files

@@ -265,12 +265,7 @@ def test_cells_finishing_out_of_order_keep_matrix_order(tmp_path, monkeypatch, t
     wrap(monkeypatch, "pretrain", lambda a, kw: time.sleep(0.3 * (a[4] == WLM)))
     wrap(monkeypatch, "finetune", lambda a, kw: time.sleep(0.3 * (kw["seed"] == SEED_1)))
     log = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # switch threads often, to expose shared-state races
-    try:
-        report = run_experiment(tmp_path / "exp", matrix, **MICRO, log=log.append)
-    finally:
-        sys.setswitchinterval(interval)
+    report = run_experiment(tmp_path / "exp", matrix, **MICRO, log=log.append)
     assert report.records == ref.records
     assert log == ref_log
     for name in ("results.jsonl", "report.json", "report.txt",

@@ -445,6 +445,190 @@ def test_encoder_backward_matches_fd_through_plain_head():
         assert rel_err(fd, grads[name].reshape(-1)[j]) < 1e-3
 
 
+# ------------------------------------------ packed rows vs dense reference
+# The encoder as it was written before it packed the real tokens: every
+# per-token layer on the padded [B,T,D] grid. Kept here as the oracle of the
+# packed path.
+
+def dense_dropout_mask(rng, shape, rate, dtype):
+    if rng is None or rate <= 0.0:
+        return None
+    keep = (rng.random(shape) >= rate).astype(dtype)
+    keep /= dtype.type(1.0 - rate)
+    return keep
+
+
+def dense_split_heads(x, n_heads):
+    B, T, D = x.shape
+    return x.reshape(B, T, n_heads, D // n_heads).transpose(0, 2, 1, 3)
+
+
+def dense_merge_heads(x):
+    B, H, T, K = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(B, T, H * K)
+
+
+def dense_forward(model, ids, mask, dropout_rng=None):
+    from warplm.nnet.encoder import NEG_INF
+    cfg, P = model.config, model.params
+    B, T = ids.shape
+    dtype = P["tok_emb"].dtype
+    scale = dtype.type(1.0 / np.sqrt(cfg.d_head))
+    att_bias = np.where(mask[:, None, None, :], dtype.type(0.0), dtype.type(NEG_INF))
+    e = P["tok_emb"][ids] + P["pos_emb"][:T][None, :, :]
+    emb_drop = dense_dropout_mask(dropout_rng, e.shape, cfg.dropout, dtype)
+    h = e if emb_drop is None else e * emb_drop
+    layers = []
+    for l in range(cfg.n_layers):
+        p = f"layers.{l}."
+        x1, ln1c = _layer_norm(h, P[p + "ln1.g"], P[p + "ln1.b"])
+        q = dense_split_heads(x1 @ P[p + "attn.wq"] + P[p + "attn.bq"], cfg.n_heads)
+        k = dense_split_heads(x1 @ P[p + "attn.wk"] + P[p + "attn.bk"], cfg.n_heads)
+        v = dense_split_heads(x1 @ P[p + "attn.wv"] + P[p + "attn.bv"], cfg.n_heads)
+        s = q @ k.transpose(0, 1, 3, 2)
+        s *= scale
+        s += att_bias
+        probs = softmax(s, axis=-1)
+        ctx = dense_merge_heads(probs @ v)
+        attn = ctx @ P[p + "attn.wo"] + P[p + "attn.bo"]
+        attn_drop = dense_dropout_mask(dropout_rng, attn.shape, cfg.dropout, dtype)
+        if attn_drop is not None:
+            attn = attn * attn_drop
+        h = h + attn
+        x2, ln2c = _layer_norm(h, P[p + "ln2.g"], P[p + "ln2.b"])
+        u = x2 @ P[p + "ffn.w1"] + P[p + "ffn.b1"]
+        a, phi2 = _gelu(u)
+        f = a @ P[p + "ffn.w2"] + P[p + "ffn.b2"]
+        ffn_drop = dense_dropout_mask(dropout_rng, f.shape, cfg.dropout, dtype)
+        if ffn_drop is not None:
+            f = f * ffn_drop
+        h = h + f
+        layers.append(dict(x1=x1, ln1c=ln1c, q=q, k=k, v=v, probs=probs, ctx=ctx,
+                           attn_drop=attn_drop, x2=x2, ln2c=ln2c, u=u, phi2=phi2,
+                           ffn_drop=ffn_drop))
+    hidden, lnfc = _layer_norm(h, P["final_ln.g"], P["final_ln.b"])
+    return hidden, dict(ids=ids, emb_drop=emb_drop, layers=layers, lnfc=lnfc, scale=scale)
+
+
+def dense_encoder_backward(model, cache, d_hidden, freeze_ins=True, d_tok_emb=None):
+    from warplm.nnet.encoder import _layer_norm_backward, _linear_backward
+    cfg, P = model.config, model.params
+    ids = cache["ids"]
+    B, T = ids.shape
+    D = cfg.d_model
+    grads = {k: np.zeros_like(p) for k, p in P.items()}
+    dh = _layer_norm_backward(grads, P, "final_ln", d_hidden, cache["lnfc"])
+    for l in reversed(range(cfg.n_layers)):
+        p = f"layers.{l}."
+        c = cache["layers"][l]
+        df = dh if c["ffn_drop"] is None else dh * c["ffn_drop"]
+        a = 0.5 * c["u"] * c["phi2"]
+        da = _linear_backward(grads, P, p + "ffn.w2", p + "ffn.b2", a, df)
+        du = _gelu_grad(c["u"], c["phi2"])
+        du *= da
+        dx2 = _linear_backward(grads, P, p + "ffn.w1", p + "ffn.b1", c["x2"], du)
+        dh += _layer_norm_backward(grads, P, p + "ln2", dx2, c["ln2c"])
+        dattn = dh if c["attn_drop"] is None else dh * c["attn_drop"]
+        dctx = _linear_backward(grads, P, p + "attn.wo", p + "attn.bo", c["ctx"], dattn)
+        dctx = dense_split_heads(dctx, cfg.n_heads)
+        dprobs = dctx @ c["v"].transpose(0, 1, 3, 2)
+        dv = c["probs"].transpose(0, 1, 3, 2) @ dctx
+        dprobs -= np.add.reduce(dprobs * c["probs"], axis=-1, keepdims=True)
+        ds = np.multiply(dprobs, c["probs"], out=dprobs)
+        dq = ds @ c["k"]
+        dq *= cache["scale"]
+        dk = ds.transpose(0, 1, 3, 2) @ c["q"]
+        dk *= cache["scale"]
+        dx1 = np.zeros((B, T, D), dtype=dh.dtype)
+        for nm, dz in (("q", dq), ("k", dk), ("v", dv)):
+            dx1 += _linear_backward(grads, P, p + f"attn.w{nm}", p + f"attn.b{nm}",
+                                    c["x1"], dense_merge_heads(dz))
+        dh += _layer_norm_backward(grads, P, p + "ln1", dx1, c["ln1c"])
+    de = dh if cache["emb_drop"] is None else dh * cache["emb_drop"]
+    grads["pos_emb"][:T] += np.add.reduce(de, axis=0)
+    np.add.at(grads["tok_emb"], ids.reshape(-1), de.reshape(-1, D))
+    if d_tok_emb is not None:
+        grads["tok_emb"] += d_tok_emb
+    if freeze_ins:
+        grads["tok_emb"][INS_ID] = 0.0
+    return grads
+
+
+def rows_of_lengths(lengths, seed=0):
+    """(ids, pad) with rows of the given lengths; pad positions hold random ids."""
+    rng = np.random.default_rng(seed)
+    T = max(lengths)
+    ids = rng.integers(0, TINY.vocab_size, size=(len(lengths), T))
+    pad = np.arange(T) < np.array(lengths)[:, None]
+    return ids, pad
+
+
+def assert_close_rel(got, want, tol=1e-12, name=""):
+    """max |got - want| <= tol * max |want| (want all zero: got all zero)."""
+    scale = np.abs(want).max(initial=0.0)
+    err = np.abs(got - want).max(initial=0.0)
+    assert err <= tol * scale, f"{name}: max |diff| {err:.3g}, max |ref| {scale:.3g}"
+
+
+PACKED_BATCHES = {
+    "B1-one-token": [1],
+    "B1-max-len": [TINY.max_len],
+    "B3-mixed": [1, TINY.max_len, 4],
+    "B3-no-padding": [6, 6, 6],
+    "B16-random": [1, 10, 3, 7, 2, 9, 5, 5, 8, 1, 6, 4, 10, 2, 3, 7],
+}
+
+
+@pytest.mark.parametrize("freeze_ins", [True, False])
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("lengths", list(PACKED_BATCHES.values()), ids=list(PACKED_BATCHES))
+def test_packed_encoder_matches_the_dense_reference(lengths, dropout, freeze_ins):
+    model = EncoderModel(ModelConfig(**{**asdict(TINY), "dropout": dropout}),
+                         tiny_model(seed=len(lengths)).params)
+    ids, pad = rows_of_lengths(lengths, seed=sum(lengths))
+    ids[0, 0] = INS_ID
+    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    hidden, cache = forward(model, ids, pad, dropout_rng=rng if dropout else None)
+    ref_hidden, ref_cache = dense_forward(model, ids, pad, ref_rng if dropout else None)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert hidden.shape == ref_hidden.shape
+    assert_close_rel(hidden[pad], ref_hidden[pad], name="hidden")
+    assert np.all(hidden[~pad] == 0.0)
+
+    probe = np.random.default_rng(7)
+    d_hidden = np.where(pad[..., None], probe.normal(size=hidden.shape), 0.0)
+    d_tok_emb = probe.normal(size=model.params["tok_emb"].shape)
+    grads = encoder_backward(model, cache, d_hidden, freeze_ins, d_tok_emb=d_tok_emb)
+    ref = dense_encoder_backward(model, ref_cache, d_hidden, freeze_ins, d_tok_emb=d_tok_emb)
+    assert set(grads) == set(ref)
+    for name in ref:
+        assert grads[name].shape == ref[name].shape
+        assert_close_rel(grads[name], ref[name], name=name)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_pad_ids_change_no_bit_of_hidden_or_any_gradient(dropout):
+    """Padding never enters a per-token layer, so the ids at pad positions
+    cannot reach the hidden state (0 there) or any gradient."""
+    model = EncoderModel(ModelConfig(**{**asdict(TINY), "dropout": dropout}),
+                         tiny_model().params)
+    ids, pad = rows_of_lengths([3, TINY.max_len, 1, 6], seed=2)
+    labels = np.random.default_rng(3).integers(5, TINY.vocab_size, size=ids.shape)
+    pm = pad.copy()
+    ids2 = np.where(pad, ids, (ids + 9) % TINY.vocab_size)
+    assert not np.array_equal(ids, ids2)
+    rng = (lambda: np.random.default_rng(8)) if dropout else (lambda: None)
+    h1, _ = forward(model, ids, pad, rng())
+    h2, _ = forward(model, ids2, pad, rng())
+    assert h1.tobytes() == h2.tobytes()
+    assert np.all(h1[~pad] == 0.0)
+    out1 = lm_loss_and_grads(model, ids, pad, labels, pm, dropout_rng=rng())
+    out2 = lm_loss_and_grads(model, ids2, pad, labels, pm, dropout_rng=rng())
+    assert out1[:3] == out2[:3]
+    for name in out1[3]:
+        assert out1[3][name].tobytes() == out2[3][name].tobytes(), name
+
+
 # -------------------------------------------------------------------- adam
 
 def test_adam_single_step_hand_arithmetic():
@@ -689,6 +873,48 @@ def test_linear_backward_matches_its_reference_bits(dtype, edges, B, T, D_in, D_
         dx = warplm.nnet.encoder._linear_backward(grads, P, "w", "b", x, dy)
         ref_dx = ref_linear_backward(ref_grads, P, "w", "b", x, dy)
     assert_same_bits(dx, ref_dx)
+    for k in grads:
+        assert_same_bits(grads[k], ref_grads[k])
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("edges", [False, True])
+@pytest.mark.parametrize("N,D", [(1, 16), (13, 8), (181, 64), (503, 64)])
+def test_layer_norm_backward_on_packed_rows_matches_its_reference_bits(dtype, edges, N, D):
+    """[N,D] rows give the bits the reference gives on the same rows as [1,N,D]."""
+    rng = np.random.default_rng(N + D)
+    x = edge_sample(rng, (N, D), dtype, edges=edges)
+    dy = edge_sample(rng, (N, D), dtype, edges=edges)
+    g = rng.normal(1.0, 0.1, D).astype(dtype)
+    with np.errstate(all="ignore"):
+        _, cache = _layer_norm(x, g, np.zeros(D, dtype))
+        grads = {"ln.g": np.zeros(D, dtype), "ln.b": np.zeros(D, dtype)}
+        ref_grads = {k: a.copy() for k, a in grads.items()}
+        dx = warplm.nnet.encoder._layer_norm_backward(grads, {"ln.g": g}, "ln", dy, cache)
+        ref_dx = ref_layer_norm_backward(ref_grads, {"ln.g": g}, "ln", dy[None],
+                                         tuple(c[None] for c in cache))
+    assert_same_bits(dx, ref_dx[0])
+    for k in grads:
+        assert_same_bits(grads[k], ref_grads[k])
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("edges", [False, True])
+@pytest.mark.parametrize("N,D_in,D_out", [
+    (1, 16, 16), (13, 12, 8), (181, 64, 64), (181, 64, 256), (503, 256, 64),
+])
+def test_linear_backward_on_packed_rows_matches_its_reference_bits(dtype, edges, N, D_in, D_out):
+    """[N,*] rows give the bits the reference gives on the same rows as [1,N,*]."""
+    rng = np.random.default_rng(N + D_in * D_out)
+    x = edge_sample(rng, (N, D_in), dtype, edges=edges)
+    dy = edge_sample(rng, (N, D_out), dtype, edges=edges)
+    P = {"w": rng.normal(0.0, 0.02, (D_in, D_out)).astype(dtype)}
+    grads = {"w": np.zeros((D_in, D_out), dtype), "b": np.zeros(D_out, dtype)}
+    ref_grads = {k: a.copy() for k, a in grads.items()}
+    with np.errstate(all="ignore"):
+        dx = warplm.nnet.encoder._linear_backward(grads, P, "w", "b", x, dy)
+        ref_dx = ref_linear_backward(ref_grads, P, "w", "b", x[None], dy[None])
+    assert_same_bits(dx, ref_dx[0])
     for k in grads:
         assert_same_bits(grads[k], ref_grads[k])
 
