@@ -2,8 +2,16 @@
 
 `init_adam` packs a parameter dict into one contiguous buffer (the layout
 ZeRO keeps its optimizer state in, Rajbhandari et al. 2020) and points the
-dict's entries at views of it, so a step is a fixed handful of in-place
-ops over the whole buffer however many parameters there are.
+dict's entries at views of it. The gradients share that layout: `grads`
+views `AdamState.grad`, and a training step hands it to the backward pass,
+which writes its gradients there, so a step copies no gradient.
+
+Three buffers of the parameter size sit beside the parameters: the moments
+`m`, `v` and the gradient `grad`. A step streams them once, in blocks of
+BLOCK elements (one block of each buffer fits in a 2 MiB L2 cache), with
+two scratch blocks (`work`) for g^2, the denominator and the update. It
+reads the gradient and never writes it, so the gradients a step used are
+still there after it.
 """
 
 from __future__ import annotations
@@ -18,14 +26,15 @@ from .model import flat_views
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+BLOCK = 1 << 16
 
 
 @dataclass
 class AdamState:
     """`flat` holds every parameter back to back in the order of the dict
-    given to `init_adam`, which views it. The moments `m` and `v`, the
-    buffer `grad` each step copies the gradients into, and the step's
-    working space `work` share that layout."""
+    given to `init_adam`, which views it. The moments `m` and `v` and the
+    gradient buffer `grad` share that layout; `grads` views `grad` under
+    the parameters' names. `work` is two blocks of scratch."""
 
     lr: float
     flat: np.ndarray = field(repr=False)
@@ -33,13 +42,14 @@ class AdamState:
     m: np.ndarray = field(init=False, repr=False)
     v: np.ndarray = field(init=False, repr=False)
     grad: np.ndarray = field(init=False, repr=False)
+    grads: dict[str, np.ndarray] = field(init=False, repr=False, default_factory=dict)
     work: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
-        self.grad = np.empty_like(self.flat)
-        self.work = np.empty_like(self.flat)
+        self.grad = np.zeros_like(self.flat)
+        self.work = np.empty((2, min(BLOCK, self.flat.size)), self.flat.dtype)
 
 
 def init_adam(params: dict[str, np.ndarray], lr: float = 1e-3) -> AdamState:
@@ -54,38 +64,46 @@ def init_adam(params: dict[str, np.ndarray], lr: float = 1e-3) -> AdamState:
         raise ValueError(f"parameters must share one dtype, got {' and '.join(dtypes)}")
     flat = np.concatenate(list(params.values()), axis=None)
     params.update(flat_views(flat, params))
-    return AdamState(lr, flat)
+    state = AdamState(lr, flat)
+    state.grads = flat_views(state.grad, params)
+    return state
 
 
 def step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState) -> None:
     """One in-place Adam update of `params`, the dict `init_adam` packed.
 
+    `grads` is copied into `state.grad` unless it is `state.grads` itself.
     A non-finite gradient raises FloatingPointError naming the first such
     parameter in dict order, before any parameter, moment or the step count
     changes. A parameter whose gradient is exactly zero (all moments zero)
     is left bit-identical: m_hat = 0 makes the update exactly 0.0.
     """
-    g, tmp, m, v = state.grad, state.work, state.m, state.v
-    np.concatenate([grads[name] for name in params], axis=None, out=g)
+    g = state.grad
+    if grads is not state.grads:
+        np.concatenate([grads[name] for name in params], axis=None, out=g)
     t = state.t + 1
-    if not np.isfinite(g).all():
-        bad = next(name for name in params if not np.isfinite(grads[name]).all())
-        raise FloatingPointError(f"divergence: non-finite gradient in {bad} at step {t}")
+    for lo in range(0, g.size, BLOCK):
+        if not np.logical_and.reduce(np.isfinite(g[lo : lo + BLOCK])):
+            bad = next(name for name in params if not np.isfinite(grads[name]).all())
+            raise FloatingPointError(f"divergence: non-finite gradient in {bad} at step {t}")
     state.t = t
-    # m = b1 m + (1 - b1) g
-    m *= BETA1
-    np.multiply(g, 1.0 - BETA1, out=tmp)
-    m += tmp
-    # v = b2 v + (1 - b2) g^2
-    v *= BETA2
-    g *= g
-    g *= 1.0 - BETA2
-    v += g
-    # flat -= lr (m / c1) / (sqrt(v / c2) + eps), c = 1 - beta^t
-    np.divide(v, 1.0 - BETA2 ** t, out=g)
-    np.sqrt(g, out=g)
-    g += EPS
-    np.divide(m, 1.0 - BETA1 ** t, out=tmp)
-    tmp *= state.lr
-    tmp /= g
-    state.flat -= tmp
+    c1, c2, lr = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t, state.lr
+    for lo in range(0, g.size, BLOCK):
+        gb, m, v, p = (a[lo : lo + BLOCK] for a in (g, state.m, state.v, state.flat))
+        den, upd = state.work[:, : len(gb)]
+        # m = b1 m + (1 - b1) g
+        m *= BETA1
+        m += np.multiply(gb, 1.0 - BETA1, out=upd)
+        # v = b2 v + (1 - b2) g^2
+        v *= BETA2
+        np.multiply(gb, gb, out=den)
+        den *= 1.0 - BETA2
+        v += den
+        # p -= lr (m / c1) / (sqrt(v / c2) + eps), c = 1 - beta^t
+        np.divide(v, c2, out=den)
+        np.sqrt(den, out=den)
+        den += EPS
+        np.divide(m, c1, out=upd)
+        upd *= lr
+        upd /= den
+        p -= upd

@@ -31,6 +31,14 @@ the predicted rows of the hidden state *before* the tied output projection,
 so a step costs `[N_pred, V]` logits rather than `[B, T, V]`, and most
 positions predict nothing. `_ce` is the one cross-entropy kernel, over rows.
 
+The backward functions write into a gradient dict the caller hands over
+(`grads=`, in training Adam's flat gradient buffer, `AdamState.grads`) and
+allocate no parameter-sized array; without one they fill a fresh buffer.
+The head works in place: `lm_logits` adds the bias into the matmul's
+output, `_ce` turns logits it is handed with `out=` into dLoss/dlogits, and
+the tied head writes its [V, D] gradient straight into the `tok_emb` entry.
+A step holds one [N_pred, V] array.
+
 `freeze_ins` zeroes the gradient row of the [INS] embedding after the
 input-embedding path and the tied output projection are summed (in
 `encoder_backward`), so that row never moves during training (Adam with an
@@ -156,8 +164,24 @@ def _linear_backward(grads, P, w, b, x, dy):
     return dy @ P[w].T
 
 
+def _max_keepdims(x, axis):
+    """np.maximum.reduce(x, axis, keepdims=True) by folding the axis in
+    halves with np.maximum. Max is exact, so the bits match; on a short
+    axis (the attention keys) each fold costs less than the reduction's
+    overhead per row."""
+    x = np.swapaxes(x, axis, -1)
+    n = x.shape[-1]
+    while n > 1:
+        h = n // 2
+        m = np.maximum(x[..., :h], x[..., h : 2 * h])
+        if n % 2:
+            np.maximum(m[..., :1], x[..., 2 * h :], out=m[..., :1])
+        x, n = m, h
+    return np.swapaxes(x, axis, -1)
+
+
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    e = x - np.maximum.reduce(x, axis=axis, keepdims=True)
+    e = x - _max_keepdims(x, axis)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=axis, keepdims=True)
     return e
@@ -191,6 +215,19 @@ def _add_rows(g, index, dy):
     g's flat view: numpy's add.at is fast only on 1-d operands."""
     D = g.shape[-1]
     np.add.at(g.reshape(-1), (index[:, None] * D + np.arange(D)).reshape(-1), dy.reshape(-1))
+
+
+def zero_grads(like: dict[str, np.ndarray], grads=None, keep=None):
+    """A gradient dict with every entry 0 but `keep`'s, for a backward pass
+    to add into: `grads` zeroed in place, or without it a fresh dict shaped
+    as `like`, viewing one zeroed buffer."""
+    if grads is None:
+        size = sum([p.size for p in like.values()])
+        return flat_views(np.zeros(size, next(iter(like.values())).dtype), like)
+    for name, g in grads.items():
+        if name != keep:
+            g.fill(0.0)
+    return grads
 
 
 def pad_rows(rows, max_len: int, fill, dtype=np.int64):
@@ -307,19 +344,24 @@ def encoder_backward(
     d_hidden: np.ndarray,
     freeze_ins: bool = True,
     d_tok_emb: np.ndarray | None = None,
+    *,
+    grads: dict[str, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss w.r.t. every encoder parameter.
+    """Gradients of a scalar loss w.r.t. every encoder parameter, added into
+    `grads` (default: a fresh zeroed buffer), which is returned.
 
     d_hidden [B,T,D] is dLoss/d(hidden) from whatever head sits on top; only
-    its real positions are read. d_tok_emb is the tied head's gradient for
-    tok_emb, added after the input-embedding scatter; out_bias is left to
-    the head (lm_backward on the LM path).
+    its real positions are read. The tied head's gradient for tok_emb is
+    either in grads["tok_emb"] already (lm_backward writes it there) or
+    passed as d_tok_emb; the input-embedding rows are summed apart and added
+    to it, so each entry gets the same final add whichever comes first.
+    out_bias is left to the head (lm_backward on the LM path).
     """
     cfg, P = model.config, model.params
     rows = cache["rows"]
     B, T, D = cache["hidden"].shape
-    # every gradient is a view of one zeroed allocation
-    grads = flat_views(np.zeros(sum([p.size for p in P.values()]), P["tok_emb"].dtype), P)
+    if grads is None:
+        grads = zero_grads(P)
 
     dh = np.take(d_hidden.reshape(B * T, D), rows, axis=0)
     dh = _layer_norm_backward(grads, P, "final_ln", dh, cache["lnfc"])
@@ -359,7 +401,10 @@ def encoder_backward(
     if cache["emb_drop"] is not None:
         dh *= cache["emb_drop"]
     _add_rows(grads["pos_emb"], rows % T, dh)
-    _add_rows(grads["tok_emb"], cache["tok_ids"], dh)
+    ids, at = np.unique(cache["tok_ids"], return_inverse=True)
+    d_rows = np.zeros((len(ids), D), dh.dtype)
+    _add_rows(d_rows, at, dh)
+    grads["tok_emb"][ids] += d_rows
     if d_tok_emb is not None:
         grads["tok_emb"] += d_tok_emb
     if freeze_ins:
@@ -369,22 +414,27 @@ def encoder_backward(
 
 def lm_logits(model: EncoderModel, hidden: np.ndarray) -> np.ndarray:
     """Tied output head: hidden @ tok_emb.T + out_bias -> [..., V]."""
-    return hidden @ model.params["tok_emb"].T + model.params["out_bias"]
+    logits = hidden @ model.params["tok_emb"].T
+    logits += model.params["out_bias"]
+    return logits
 
 
-def _ce(logits, label_ids):
+def _ce(logits, label_ids, *, out=None):
     """Mean cross-entropy and accuracy over the rows of `logits` [N, C]
     against `label_ids` [N], plus dLoss/dlogits. Returns (loss, accuracy,
-    d_logits); raises if there are no rows."""
+    d_logits); raises if there are no rows. d_logits is computed in `out`
+    (which may be `logits` itself) or, without it, in a fresh array."""
     n = len(logits)
     if n == 0:
         raise ValueError("no predictions in batch")
     rows = np.arange(n)
-    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
-    d = np.exp(z)
-    sum_e = np.add.reduce(d, axis=-1, keepdims=True)
-    loss = -float(np.add.reduce(z[rows, label_ids] - np.log(sum_e[:, 0])) / n)
+    # the argmax first: `out` may be `logits`, and the max shift can create ties
     acc = float(np.add.reduce(logits.argmax(axis=-1) == label_ids) / n)
+    z = np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True), out=out)
+    z_label = z[rows, label_ids]
+    d = np.exp(z, out=z)
+    sum_e = np.add.reduce(d, axis=-1, keepdims=True)
+    loss = -float(np.add.reduce(z_label - np.log(sum_e[:, 0])) / n)
     d /= sum_e
     d[rows, label_ids] -= 1.0
     d *= 1.0 / n
@@ -395,7 +445,8 @@ def lm_loss(logits, label_ids, predict_mask):
     """(mean NLL over predicted positions, accuracy, n_predicted), scoring
     the rows of `logits` [..., V] that `predict_mask` [...] selects."""
     pm = np.asarray(predict_mask, dtype=bool)
-    loss, acc, _ = _ce(logits[pm], np.asarray(label_ids)[pm])
+    scored = logits[pm]
+    loss, acc, _ = _ce(scored, np.asarray(label_ids)[pm], out=scored)
     return loss, acc, int(pm.sum())
 
 
@@ -405,19 +456,24 @@ def lm_backward(
     d_logits: np.ndarray,
     predict_mask: np.ndarray,
     freeze_ins: bool = True,
+    *,
+    grads: dict[str, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
-    """Backward through the tied head, then the encoder.
+    """Backward through the tied head, then the encoder. Writes every
+    gradient into `grads` (default: a fresh buffer) and returns it.
 
     d_logits is [N_pred, V], one row per True of predict_mask [B,T] in
     row-major order (the order of hidden[predict_mask]); every other
     position gets zero gradient from the head.
     """
+    P = model.params
     pm = np.asarray(predict_mask, dtype=bool)
     hidden = cache["hidden"]
+    grads = zero_grads(P, grads, keep="tok_emb")
     d_hidden = np.zeros(hidden.shape, hidden.dtype)
-    d_hidden[pm] = d_logits @ model.params["tok_emb"]
-    grads = encoder_backward(model, cache, d_hidden, freeze_ins,
-                             d_tok_emb=d_logits.T @ hidden[pm])
+    d_hidden[pm] = d_logits @ P["tok_emb"]
+    np.matmul(d_logits.T, hidden[pm], out=grads["tok_emb"])
+    encoder_backward(model, cache, d_hidden, freeze_ins, grads=grads)
     grads["out_bias"] += np.add.reduce(d_logits, axis=0)
     return grads
 
@@ -430,8 +486,11 @@ def lm_loss_and_grads(
     predict_mask: np.ndarray,
     dropout_rng: np.random.Generator | None = None,
     freeze_ins: bool = True,
+    *,
+    grads: dict[str, np.ndarray] | None = None,
 ):
-    """One full LM training step's math: (loss, accuracy, n_pred, grads).
+    """One full LM training step's math: (loss, accuracy, n_pred, grads),
+    the gradients written into `grads` (default: a fresh buffer).
 
     Logits are computed only at the predicted positions."""
     pm = np.asarray(predict_mask, dtype=bool)
@@ -439,6 +498,6 @@ def lm_loss_and_grads(
         raise ValueError(f"predict_mask shape {pm.shape} != input_ids shape {np.shape(input_ids)}")
     hidden, cache = forward(model, input_ids, pad_mask, dropout_rng)
     logits = lm_logits(model, hidden[pm])
-    loss, acc, d_logits = _ce(logits, np.asarray(label_ids)[pm])
-    grads = lm_backward(model, cache, d_logits, pm, freeze_ins=freeze_ins)
+    loss, acc, d_logits = _ce(logits, np.asarray(label_ids)[pm], out=logits)
+    grads = lm_backward(model, cache, d_logits, pm, freeze_ins=freeze_ins, grads=grads)
     return loss, acc, len(logits), grads

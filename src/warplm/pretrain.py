@@ -164,7 +164,7 @@ def pretrain(
             if not pm.any():
                 continue
             loss, _, n_pred, grads = lm_loss_and_grads(
-                model, ids, pad_mask, labels, pm, dropout_rng=drop_rng
+                model, ids, pad_mask, labels, pm, dropout_rng=drop_rng, grads=adam.grads
             )
             if not math.isfinite(loss):
                 raise FloatingPointError(f"divergence: loss {loss} at epoch {epoch}")

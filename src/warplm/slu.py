@@ -22,7 +22,7 @@ import numpy as np
 
 from .nnet import EncoderModel, encoder_backward, forward, init_adam, step
 from .nnet.checkpoint import load_model_checkpoint, save_model
-from .nnet.encoder import _ce, pad_rows
+from .nnet.encoder import _ce, pad_rows, zero_grads
 from .nnet.model import head_shapes
 from .seeding import derive_seed
 from .textcore import CLS_ID, PAD_ID, Vocab, naming
@@ -232,8 +232,18 @@ def _heads(model: SLUModel, ids, pad_mask, rows, dropout_rng=None):
     return h_cls, h_rows, intent_logits, slot_logits, cache
 
 
-def slu_loss_and_grads(model: SLUModel, utts, dropout_rng=None, freeze_encoder=False):
-    """Joint loss and gradients over encoder+head params (merged dict).
+def _trainable(model: SLUModel, freeze_encoder: bool) -> dict[str, np.ndarray]:
+    """The parameters `finetune` trains, under their merged names."""
+    if freeze_encoder:
+        return {"head." + k: v for k, v in model.head.items()}
+    return model.all_params()
+
+
+def slu_loss_and_grads(model: SLUModel, utts, dropout_rng=None, freeze_encoder=False, *,
+                       grads=None):
+    """Joint loss and gradients over the trained params (merged names: the
+    head's, and the encoder's unless it is frozen), written into `grads`
+    (default: a fresh buffer) and returned with the loss.
 
     Each head scores only its rows: the intent head the CLS position, the
     slot head the positions whose tag is in the model's inventory."""
@@ -245,22 +255,20 @@ def slu_loss_and_grads(model: SLUModel, utts, dropout_rng=None, freeze_encoder=F
         model, ids, pad_mask, tag_mask, dropout_rng
     )
     H = model.head
-    i_loss, _, d_int = _ce(intent_logits, intent_ids)
-    s_loss, _, d_slot = _ce(slot_logits, tag_ids[tag_mask])
+    i_loss, _, d_int = _ce(intent_logits, intent_ids, out=intent_logits)
+    s_loss, _, d_slot = _ce(slot_logits, tag_ids[tag_mask], out=slot_logits)
     loss = i_loss + s_loss
 
     d_hidden = np.zeros(ids.shape + h_cls.shape[1:], dtype=h_cls.dtype)
     d_hidden[tag_mask] = d_slot @ H["slot_w"].T
     d_hidden[:, 0] += d_int @ H["intent_w"].T
-    head_grads = {
-        "intent_w": h_cls.T @ d_int,
-        "intent_b": np.add.reduce(d_int, axis=0),
-        "slot_w": h_tag.T @ d_slot,
-        "slot_b": np.add.reduce(d_slot, axis=0),
-    }
-    grads = {"head." + k: v for k, v in head_grads.items()}
+    grads = zero_grads(_trainable(model, freeze_encoder), grads)
+    np.matmul(h_cls.T, d_int, out=grads["head.intent_w"])
+    np.add.reduce(d_int, axis=0, out=grads["head.intent_b"])
+    np.matmul(h_tag.T, d_slot, out=grads["head.slot_w"])
+    np.add.reduce(d_slot, axis=0, out=grads["head.slot_b"])
     if not freeze_encoder:
-        grads.update(encoder_backward(model.encoder, cache, d_hidden, freeze_ins=True))
+        encoder_backward(model.encoder, cache, d_hidden, freeze_ins=True, grads=grads)
     return float(loss), grads
 
 
@@ -397,11 +405,7 @@ def finetune(
         raise ValueError("empty validation set")
     intents, tags = label_inventory(train_utts + val_utts)
     model = init_slu_model(encoder.copy(), intents, tags, seed)
-    trainable = (
-        {"head." + k: v for k, v in model.head.items()}
-        if freeze_encoder
-        else model.all_params()
-    )
+    trainable = _trainable(model, freeze_encoder)
     adam = init_adam(trainable, lr=lr)
     encoder_views, head_views = _split_params(trainable)
     model.encoder.params.update(encoder_views)
@@ -416,7 +420,8 @@ def finetune(
         for lo in range(0, len(order), batch_size):
             chunk = [train_utts[j] for j in order[lo : lo + batch_size]]
             loss, grads = slu_loss_and_grads(
-                model, chunk, dropout_rng=drop_rng, freeze_encoder=freeze_encoder
+                model, chunk, dropout_rng=drop_rng, freeze_encoder=freeze_encoder,
+                grads=adam.grads,
             )
             if not math.isfinite(loss):
                 raise FloatingPointError(f"divergence: loss {loss} at epoch {epoch}")

@@ -983,3 +983,213 @@ def test_checkpoint_tensor_values_exact(tmp_path):
         _, params = load_checkpoint(p)
         assert params["w"].shape == arr.shape
         assert np.array_equal(params["w"].view(np.uint32), arr.view(np.uint32))
+
+
+# ------------------------------------ gradients in Adam's buffer, in blocks
+
+def blocked_params(dtype):
+    """Three parameters whose flat size spans three Adam blocks, the last
+    one ragged."""
+    from warplm.nnet.adam import BLOCK
+    rng = np.random.default_rng(12)
+    shapes = {"w": (2, BLOCK // 2 + 3), "b": (7,), "u": (BLOCK + 1000,)}
+    params = {k: rng.normal(0.0, 0.5, s).astype(dtype) for k, s in shapes.items()}
+    size = sum(p.size for p in params.values())
+    assert 2 * BLOCK < size < 3 * BLOCK
+    return params
+
+
+@pytest.mark.parametrize("in_place", [True, False], ids=["adam-grads", "own-dict"])
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_blocked_adam_matches_the_per_parameter_loop_bit_for_bit(dtype, in_place):
+    params = blocked_params(dtype)
+    ref = {k: p.copy() for k, p in params.items()}
+    m = {k: np.zeros_like(p) for k, p in ref.items()}
+    v = {k: np.zeros_like(p) for k, p in ref.items()}
+    st = init_adam(params, lr=2e-3)
+    rng = np.random.default_rng(5)
+    for t in range(1, 6):
+        drawn = {k: rng.normal(0.0, 0.1, p.shape).astype(dtype) for k, p in ref.items()}
+        if in_place:
+            for k, g in drawn.items():
+                st.grads[k][...] = g
+            grads = st.grads
+        else:
+            grads = {k: g.copy() for k, g in drawn.items()}
+        step(params, grads, st)
+        per_parameter_adam_step(ref, drawn, m, v, t, 2e-3)
+        assert st.t == t
+        for k in ref:
+            assert params[k].tobytes() == ref[k].tobytes(), (t, k)
+            assert grads[k].tobytes() == drawn[k].tobytes(), (t, k)  # step reads, never writes
+        assert st.grad.tobytes() == b"".join(drawn[k].tobytes() for k in params)
+    for buf, per_param in ((st.m, m), (st.v, v)):
+        assert buf.tobytes() == b"".join(a.tobytes() for a in per_param.values())
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_nonfinite_gradient_in_the_last_block_changes_nothing(dtype):
+    from warplm.nnet.adam import BLOCK
+    params = blocked_params(dtype)
+    st = init_adam(params)
+    rng = np.random.default_rng(1)
+    for name, g in st.grads.items():
+        g[...] = rng.normal(0.0, 0.1, g.shape)
+    step(params, st.grads, st)  # moments away from zero
+    assert st.grad.size - st.grad.size % BLOCK > params["w"].size + params["b"].size
+    st.grads["u"][-1] = np.inf  # the last element: in the ragged last block only
+    before = [st.flat.tobytes(), st.m.tobytes(), st.v.tobytes(), st.t, st.grad.tobytes()]
+    with pytest.raises(FloatingPointError) as e:
+        step(params, st.grads, st)
+    assert str(e.value) == "divergence: non-finite gradient in u at step 2"
+    assert [st.flat.tobytes(), st.m.tobytes(), st.v.tobytes(), st.t,
+            st.grad.tobytes()] == before
+
+
+def test_adam_grads_view_its_gradient_buffer_in_the_parameter_layout():
+    model = init_model(TINY, seed=0)
+    st = init_adam(model.params)
+    assert list(st.grads) == list(model.params)
+    lo = 0
+    for name, g in st.grads.items():
+        assert g.shape == model.params[name].shape and g.dtype == st.grad.dtype
+        assert np.shares_memory(g, st.grad[lo : lo + g.size])
+        lo += g.size
+    assert lo == st.grad.size
+    assert st.work.shape == (2, min(st.flat.size, warplm.nnet.adam.BLOCK))
+
+
+@pytest.mark.parametrize("freeze_ins", [True, False])
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_lm_grads_written_into_adams_buffer_match_a_fresh_buffer(dtype, freeze_ins):
+    """Whatever the buffer held before, the handed dict ends up with the
+    bits of a fresh call, and a step leaves them readable."""
+    model = tiny_model(dtype=dtype)
+    ids, pad, labels, pm = tiny_batch()
+    ids[1, 2] = ids[1, 4] = ids[0, 1]  # a repeated id
+    want = lm_loss_and_grads(model, ids, pad, labels, pm, freeze_ins=freeze_ins)
+    st = init_adam(model.params)
+    st.grad[...] = np.nan  # stale contents must not leak into any gradient
+    got = lm_loss_and_grads(model, ids, pad, labels, pm, freeze_ins=freeze_ins, grads=st.grads)
+    assert got[:3] == want[:3]
+    assert got[3] is st.grads
+    for name in model.params:
+        assert got[3][name].tobytes() == want[3][name].tobytes(), name
+    step(model.params, got[3], st)
+    for name in model.params:
+        assert st.grads[name].tobytes() == want[3][name].tobytes(), name
+
+
+@pytest.mark.parametrize("freeze_ins", [True, False])
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_tied_tok_emb_gradient_matches_add_at_then_head(dtype, freeze_ins, monkeypatch):
+    """The tok_emb gradient is the old formula's bits: the input-embedding
+    rows scattered into zeros with np.add.at, then the tied head's [V, D]
+    gradient added, then the [INS] row zeroed. Checked both with the head's
+    gradient passed as d_tok_emb and already in the handed buffer."""
+    model = tiny_model(dtype=dtype)
+    ids, pad = rows_of_lengths([7, 3, 6, 5], seed=9)
+    ids[:, :3] = [INS_ID, 6, 6]  # every row repeats id 6 and holds [INS]
+    hidden, cache = forward(model, ids, pad)
+    probe = np.random.default_rng(3)
+    d_hidden = np.where(pad[..., None], probe.normal(size=hidden.shape), 0.0).astype(dtype)
+    d_tok_emb = probe.normal(size=model.params["tok_emb"].shape).astype(dtype)
+
+    seen = []
+    real_add_rows = warplm.nnet.encoder._add_rows
+    monkeypatch.setattr(warplm.nnet.encoder, "_add_rows",
+                        lambda g, index, dy: seen.append(dy.copy()) or real_add_rows(g, index, dy))
+    by_arg = encoder_backward(model, cache, d_hidden, freeze_ins, d_tok_emb=d_tok_emb)
+    dh = seen[0]  # the embedding rows' gradient, as first scattered into pos_emb
+    handed = warplm.nnet.encoder.zero_grads(model.params)
+    handed["tok_emb"][...] = d_tok_emb
+    encoder_backward(model, cache, d_hidden, freeze_ins, grads=handed)
+
+    want = np.zeros_like(d_tok_emb)
+    np.add.at(want, cache["tok_ids"], dh)
+    want += d_tok_emb
+    if freeze_ins:
+        want[INS_ID] = 0.0
+    assert len(np.unique(cache["tok_ids"])) < len(cache["tok_ids"])
+    assert by_arg["tok_emb"].tobytes() == want.tobytes()
+    assert handed["tok_emb"].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_in_place_head_matches_the_copying_formulas(dtype):
+    rng = np.random.default_rng(4)
+    model = tiny_model(dtype=dtype)
+    model.params["out_bias"][:] = rng.normal(size=TINY.vocab_size)
+    hidden = rng.normal(size=(9, TINY.d_model)).astype(dtype)
+    logits = lm_logits(model, hidden)
+    ref = hidden @ model.params["tok_emb"].T + model.params["out_bias"]
+    assert logits.tobytes() == ref.tobytes()
+
+    logits[2, 5] = logits[2].max() + 1.0
+    logits[2, :4] = logits[2, 5]  # a row whose max is tied
+    labels = rng.integers(0, TINY.vocab_size, size=9)
+    labels[:5] = np.argmax(logits[:5], axis=-1)  # rows 0-4 scored right
+    before = logits.copy()
+    copied = _ce(logits, labels)
+    assert logits.tobytes() == before.tobytes()  # without out=, the input is untouched
+    in_place = _ce(logits, labels, out=logits)
+    assert in_place[2] is logits
+    assert in_place[:2] == copied[:2]
+    assert in_place[1] == np.mean(np.argmax(before, axis=-1) == labels) >= 5 / 9
+    assert in_place[2].tobytes() == copied[2].tobytes()
+
+
+def test_lm_step_allocates_under_twice_the_parameters_at_a_30k_vocab():
+    """One LM step plus its Adam step on a pretrain-v30k-shaped batch (B 32,
+    T 15, sentences of 5-15 ids, 15% of their positions predicted) at V
+    30000 and desk dims allocates under 2x the parameter bytes; the step
+    itself allocates nothing larger than a block."""
+    import tracemalloc
+    from warplm.nnet.adam import BLOCK
+    V, B, T = 30000, 32, 15
+    model = init_model(ModelConfig.desk(V), seed=0)
+    st = init_adam(model.params)
+    rng = np.random.default_rng(0)
+    pad = np.arange(T) < rng.integers(5, T + 1, size=B)[:, None]
+    pad[0] = True
+    ids = np.where(pad, rng.integers(INS_ID + 1, V, size=(B, T)), 0)
+    labels = np.where(pad, rng.integers(INS_ID + 1, V, size=(B, T)), 0)
+    pm = pad & (rng.random((B, T)) < 0.15)
+    drop_rng = np.random.default_rng(1)
+
+    def lm_step():
+        return lm_loss_and_grads(model, ids, pad, labels, pm, dropout_rng=drop_rng,
+                                 grads=st.grads)[3]
+
+    step(model.params, lm_step(), st)  # warm-up
+    tracemalloc.start()
+    try:
+        grads = lm_step()
+        _, step_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        step(model.params, grads, st)
+        current, adam_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(step_peak, adam_peak) < 2 * st.flat.nbytes
+    assert adam_peak - before < BLOCK * st.flat.itemsize
+    assert current - before < BLOCK * st.flat.itemsize
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("T", [1, 2, 3, 7, 13, 14, 15, 33, 64])
+def test_softmax_over_padded_keys_matches_its_reference_bits(T, dtype):
+    """The key-axis max is folded in halves; max is exact, so attention
+    probabilities keep the bits of the plain formula, -1e9 pad keys and
+    odd lengths included."""
+    from warplm.nnet.encoder import NEG_INF, _max_keepdims
+    rng = np.random.default_rng(T)
+    B, H = 4, 2
+    s = rng.normal(0.0, 3.0, size=(B, H, T, T)).astype(dtype)
+    lengths = rng.integers(1, T + 1, size=B)
+    lengths[0] = T
+    s += np.where(np.arange(T) < lengths[:, None], 0.0, NEG_INF).astype(dtype)[:, None, None, :]
+    for axis in (-1, 2):
+        assert_same_bits(_max_keepdims(s, axis), np.maximum.reduce(s, axis=axis, keepdims=True))
+    assert_same_bits(softmax(s, axis=-1), ref_softmax(s, axis=-1))

@@ -575,3 +575,25 @@ def test_load_encoder_reads_the_encoder_of_an_slu_checkpoint(tmp_path):
     for k, v in model.encoder.params.items():
         got = encoder.params[k]
         assert got.dtype == v.dtype and got.tobytes() == v.tobytes(), k
+
+
+@pytest.mark.parametrize("freeze_encoder", [False, True])
+def test_slu_grads_written_into_adams_buffer_match_a_fresh_buffer(freeze_encoder):
+    """finetune hands Adam's gradient views over; whatever they held, they
+    end up with the bits of a fresh call, frozen encoder included."""
+    from warplm.nnet import init_adam
+    utts = synth_slu_utterances(6, VOCAB, seed=8)
+    model = init_slu_model(desk_encoder(), *label_inventory(utts), seed=2)
+    rng = lambda: np.random.default_rng(4)
+    want_loss, want = slu_loss_and_grads(model, utts, dropout_rng=rng(),
+                                         freeze_encoder=freeze_encoder)
+    trainable = ({"head." + k: v for k, v in model.head.items()} if freeze_encoder
+                 else model.all_params())
+    adam = init_adam(trainable)
+    adam.grad[...] = np.nan
+    loss, grads = slu_loss_and_grads(model, utts, dropout_rng=rng(),
+                                     freeze_encoder=freeze_encoder, grads=adam.grads)
+    assert grads is adam.grads and loss == want_loss
+    assert set(grads) == set(want)
+    for name in want:
+        assert grads[name].tobytes() == want[name].tobytes(), name
