@@ -6,30 +6,33 @@ The model is `ModelConfig.desk(V)` (float32, dropout on) and the batch is
 fixed and shaped like a `pretrain-v30k` one (T 12-15, 306-334 real
 positions, 43-65 predicted): 32 sentences of 5 to 15 ids drawn from the
 non-special ids, padded to 15, with 15% of the real positions predicted.
-Each step is `lm_loss_and_grads` writing into Adam's gradient buffer, then
-`step`, as in `pretrain`. After one warm-up step the script prints three
-lines:
+Each step runs the ops of `lm_loss_and_grads` (forward, lm_logits, _ce,
+lm_backward) writing into Adam's gradient buffer, then `step`, as in
+`pretrain`, and with numpy's OpenBLAS at one thread, as `pretrain` runs
+it. After one warm-up step the script prints:
 
 - `peak`: the `tracemalloc` peak of one step, in MB and as a multiple of
   the parameter bytes (tracemalloc counts numpy's array data);
 - `minor_faults`: minor page faults per step (`resource.getrusage`), over
   STEPS steps (default 50) run without tracemalloc;
-- `step_ms`: the median wall time of those steps.
-
-Set OPENBLAS_NUM_THREADS=1 to time it as the benchmark runs.
+- `step_ms`, twice: the median wall time of those steps and of each op,
+  first with the split pool at one worker per usable CPU, then pinned to
+  one worker by `nnet.parallel.serial()`, as the experiment's cell
+  processes run. lm_backward includes the encoder's backward pass.
 """
 
 from __future__ import annotations
 
 import resource
-import statistics
 import sys
 import time
 import tracemalloc
 
 import numpy as np
 
-from warplm.nnet import ModelConfig, init_adam, init_model, lm_loss_and_grads, step
+from warplm.nnet import ModelConfig, forward, init_adam, init_model, lm_backward, lm_logits, step
+from warplm.nnet import parallel
+from warplm.nnet.encoder import _ce
 from warplm.textcore import INS_ID
 
 B, T, P_PREDICT = 32, 15, 0.15
@@ -49,18 +52,38 @@ def pretrain_batch(vocab_size: int, seed: int = 0):
 
 
 def make_step(vocab_size: int):
-    """-> (one-step closure, parameter bytes) for a fresh desk model."""
+    """-> (one-step closure, parameter bytes) for a fresh desk model. The
+    closure returns the wall time of each op, in seconds."""
     model = init_model(ModelConfig.desk(vocab_size), seed=0)
     adam = init_adam(model.params)
     ids, pad, labels, pm = pretrain_batch(vocab_size)
     drop_rng = np.random.default_rng(1)
 
     def one_step():
-        _, _, _, grads = lm_loss_and_grads(model, ids, pad, labels, pm,
-                                           dropout_rng=drop_rng, grads=adam.grads)
-        step(model.params, grads, adam)
+        t = [time.perf_counter()]
+        hidden, cache = forward(model, ids, pad, drop_rng)
+        t.append(time.perf_counter())
+        logits = lm_logits(model, hidden[pm])
+        t.append(time.perf_counter())
+        _, _, d_logits = _ce(logits, labels[pm], out=logits)
+        t.append(time.perf_counter())
+        lm_backward(model, cache, d_logits, pm, grads=adam.grads)
+        t.append(time.perf_counter())
+        step(model.params, adam.grads, adam)
+        t.append(time.perf_counter())
+        return np.diff(t)
 
     return one_step, adam.flat.nbytes
+
+
+OPS = ("forward", "lm_logits", "_ce", "lm_backward", "step")
+
+
+def timed_steps(one_step, steps: int) -> str:
+    """The median ms of a whole step and of each op, over `steps` steps."""
+    times = np.array([one_step() for _ in range(steps)]) * 1e3
+    ops = " ".join(f"{op} {ms:.2f}" for op, ms in zip(OPS, np.median(times, axis=0)))
+    return f"{np.median(times.sum(axis=1)):.2f} median ({ops})"
 
 
 def main(argv: list[str]) -> int:
@@ -70,25 +93,25 @@ def main(argv: list[str]) -> int:
     vocab_size = int(argv[0])
     steps = int(argv[1]) if len(argv) > 1 else 50
     one_step, param_bytes = make_step(vocab_size)
-    one_step()  # warm-up: first-touch of Adam's buffers and numpy's caches
+    with parallel.one_blas_thread():
+        one_step()  # warm-up: first-touch of Adam's buffers, numpy's caches and the pool
 
-    tracemalloc.start()
-    one_step()
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-
-    times = []
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(steps):
-        t0 = time.perf_counter()
+        tracemalloc.start()
         one_step()
-        times.append(time.perf_counter() - t0)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        pool = timed_steps(one_step, steps)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    with parallel.serial():
+        one_worker = timed_steps(one_step, steps)
 
     print(f"V={vocab_size} params={param_bytes / 1e6:.1f} MB steps={steps}")
     print(f"peak {peak / 1e6:.1f} MB = {peak / param_bytes:.2f}x the parameters")
     print(f"minor_faults {faults / steps:.0f} per step")
-    print(f"step_ms {statistics.median(times) * 1e3:.2f} median")
+    print(f"step_ms {pool}, {parallel.workers()} workers")
+    print(f"step_ms {one_worker}, 1 worker")
     return 0
 
 

@@ -36,6 +36,7 @@ import numpy as np
 
 from .asrsim import NoiseConfig, make_noisy_slu_set, save_noisy_slu_set
 from .nnet import EncoderModel, ModelConfig
+from .nnet.parallel import _openblas_thread_controls, _usable_cpus, serial  # noqa: F401
 from .pretrain import pretrain, split_validation
 from .seeding import derive_seed
 from .slu import evaluate_slu, finetune, save_slu_file
@@ -196,30 +197,6 @@ def _require_at_least(*checks):
             raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this OS
-        return os.cpu_count() or 1
-
-
-def _openblas_thread_controls() -> list:
-    """[(get, set)] thread-count functions of numpy's OpenBLAS, looked up
-    through numpy's extension module (dlsym also searches the libraries it
-    links) under the names of numpy's wheel (scipy_openblas_*64_) or of a
-    distribution build (openblas_*, openblas_*64_). Empty where none is
-    found."""
-    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", ""), ("openblas", "64_")):
-        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-        set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-        if get is not None and set_ is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return [(get, set_)]
-    return []
-
-
 # The cells of the running _run_cells call (one call at a time per process).
 # Its children are forked after this is set, so they reach a cell by its
 # index and only results cross the pipe; the cells may be closures.
@@ -248,9 +225,10 @@ def _run_cells(cells: list) -> list:
     """Call each zero-argument function in `cells` and return their results
     in order. With n = min(usable CPUs, len(cells)), this process runs
     cells[0::n] itself and n-1 forked children run the rest; at n == 1
-    nothing is forked. The children inherit numpy's errstate and numpy's
-    OpenBLAS, which is pinned to one thread while the cells run, since the
-    processes already use every CPU, and restored after. The first failing
+    nothing is forked. The cells run under `nnet.parallel.serial()`, which
+    pins the split pool to one worker and numpy's OpenBLAS to one thread,
+    since the processes already use every CPU; both are restored after. The
+    children inherit the pins and numpy's errstate. The first failing
     cell in order re-raises its exception here, and cells not yet started
     are cancelled. A child that dies raises ChildProcessError."""
     # Imported here, not at the top: they add about 10 ms to importing the package.
@@ -260,38 +238,33 @@ def _run_cells(cells: list) -> list:
 
     global _CELLS
     n = min(_usable_cpus(), len(cells))
-    controls = _openblas_thread_controls()
-    old = [get() for get, _ in controls]
     pool = None
     try:
-        for _, set_ in controls:
-            set_(1)
-        _CELLS = cells
-        futures = [None] * len(cells)
-        if n > 1:
-            pool = ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork"),
-                                       initializer=_die_with, initargs=(os.getpid(),))
-            for i in range(len(cells)):
-                if i % n:
-                    futures[i] = pool.submit(_run_cell, i)
-        for i in range(0, len(cells), n):
-            if any(f.done() and f.exception() is not None for f in futures[:i]):
-                break  # an earlier cell failed, so the cells from here are not needed
-            futures[i] = Future()
-            try:
-                futures[i].set_result(cells[i]())
-            except Exception as e:
-                futures[i].set_exception(e)
-                break
-        return [f.result() for f in futures]
+        with serial():
+            _CELLS = cells
+            futures = [None] * len(cells)
+            if n > 1:
+                pool = ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork"),
+                                           initializer=_die_with, initargs=(os.getpid(),))
+                for i in range(len(cells)):
+                    if i % n:
+                        futures[i] = pool.submit(_run_cell, i)
+            for i in range(0, len(cells), n):
+                if any(f.done() and f.exception() is not None for f in futures[:i]):
+                    break  # an earlier cell failed, so the cells from here are not needed
+                futures[i] = Future()
+                try:
+                    futures[i].set_result(cells[i]())
+                except Exception as e:
+                    futures[i].set_exception(e)
+                    break
+            return [f.result() for f in futures]
     except BrokenProcessPool as e:
         raise ChildProcessError(f"a process running matrix cells died: {e}") from e
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
         _CELLS = []
-        for (_, set_), count in zip(controls, old):
-            set_(count)
 
 
 def write_synthetic_data(out_dir, n_corpus: int, n_train: int, n_val: int, n_test: int,

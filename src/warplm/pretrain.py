@@ -25,6 +25,7 @@ from .nnet import (
     pad_rows,
     step,
 )
+from .nnet.parallel import one_blas_thread
 from .seeding import derive_seed
 from .textcore import PAD_ID, Vocab
 from .warp import WarpConfig, WarpedExample, warp
@@ -134,6 +135,11 @@ def pretrain(
     [INS] embedding row is frozen throughout (see nnet.encoder). With
     epochs=0 the model is returned as initialized. Otherwise validation
     warps that predict nothing raise ValueError before the first step.
+
+    Training and evaluation run with numpy's OpenBLAS at one thread (the
+    old count is restored on return): the vocabulary-sized ops split over
+    the worker pool instead (nnet.parallel), and a BLAS call's bits then
+    do not depend on the BLAS thread count.
     """
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
@@ -149,31 +155,32 @@ def pretrain(
     model = init_model(model_cfg, derive_seed(seed, _SEED_INIT))
     adam = init_adam(model.params, lr=lr)
     history: list[EpochStats] = []
-    for epoch in range(1, epochs + 1):
-        examples = _warp_corpus(
-            train_sentences, warp_cfg, vocab, derive_seed(seed, _SEED_TRAIN_WARP, epoch), epoch
-        )
-        order = np.random.default_rng(
-            derive_seed(seed, _SEED_SHUFFLE, epoch)
-        ).permutation(len(examples))
-        drop_rng = np.random.default_rng(derive_seed(seed, _SEED_DROPOUT, epoch))
-        nll_sum, n_pred_sum = 0.0, 0
-        for lo in range(0, len(order), batch_size):
-            chunk = [examples[j] for j in order[lo : lo + batch_size]]
-            ids, pad_mask, labels, pm = pad_batch(chunk, model_cfg.max_len)
-            if not pm.any():
-                continue
-            loss, _, n_pred, grads = lm_loss_and_grads(
-                model, ids, pad_mask, labels, pm, dropout_rng=drop_rng, grads=adam.grads
+    with one_blas_thread():
+        for epoch in range(1, epochs + 1):
+            examples = _warp_corpus(
+                train_sentences, warp_cfg, vocab, derive_seed(seed, _SEED_TRAIN_WARP, epoch), epoch
             )
-            if not math.isfinite(loss):
-                raise FloatingPointError(f"divergence: loss {loss} at epoch {epoch}")
-            step(model.params, grads, adam)
-            nll_sum += loss * n_pred
-            n_pred_sum += n_pred
-        val_ppl, val_acc = evaluate_lm(model, val_examples, batch_size)
-        row = EpochStats(epoch, nll_sum / max(1, n_pred_sum), val_ppl, val_acc)
-        history.append(row)
-        if log is not None:
-            log(row)
+            order = np.random.default_rng(
+                derive_seed(seed, _SEED_SHUFFLE, epoch)
+            ).permutation(len(examples))
+            drop_rng = np.random.default_rng(derive_seed(seed, _SEED_DROPOUT, epoch))
+            nll_sum, n_pred_sum = 0.0, 0
+            for lo in range(0, len(order), batch_size):
+                chunk = [examples[j] for j in order[lo : lo + batch_size]]
+                ids, pad_mask, labels, pm = pad_batch(chunk, model_cfg.max_len)
+                if not pm.any():
+                    continue
+                loss, _, n_pred, grads = lm_loss_and_grads(
+                    model, ids, pad_mask, labels, pm, dropout_rng=drop_rng, grads=adam.grads
+                )
+                if not math.isfinite(loss):
+                    raise FloatingPointError(f"divergence: loss {loss} at epoch {epoch}")
+                step(model.params, grads, adam)
+                nll_sum += loss * n_pred
+                n_pred_sum += n_pred
+            val_ppl, val_acc = evaluate_lm(model, val_examples, batch_size)
+            row = EpochStats(epoch, nll_sum / max(1, n_pred_sum), val_ppl, val_acc)
+            history.append(row)
+            if log is not None:
+                log(row)
     return model, history
