@@ -7,7 +7,8 @@ fixed and shaped like a `pretrain-v30k` one (T 12-15, 306-334 real
 positions, 43-65 predicted): 32 sentences of 5 to 15 ids drawn from the
 non-special ids, padded to 15, with 15% of the real positions predicted.
 Each step runs the ops of `lm_loss_and_grads` (forward, lm_logits, _ce,
-lm_backward) writing into Adam's gradient buffer, then `step`, as in
+lm_backward, encoder_backward, with the logits freed before the encoder's
+backward pass) writing into Adam's gradient buffer, then `step`, as in
 `pretrain`, and with numpy's OpenBLAS at one thread, as `pretrain` runs
 it. After one warm-up step the script prints:
 
@@ -18,7 +19,7 @@ it. After one warm-up step the script prints:
 - `step_ms`, twice: the median wall time of those steps and of each op,
   first with the split pool at one worker per usable CPU, then pinned to
   one worker by `nnet.parallel.serial()`, as the experiment's cell
-  processes run. lm_backward includes the encoder's backward pass.
+  processes run. lm_backward is the tied head alone.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ import tracemalloc
 
 import numpy as np
 
-from warplm.nnet import ModelConfig, forward, init_adam, init_model, lm_backward, lm_logits, step
+from warplm.nnet import (
+    ModelConfig, encoder_backward, forward, init_adam, init_model, lm_backward, lm_logits, step,
+)
 from warplm.nnet import parallel
 from warplm.nnet.encoder import _ce
 from warplm.textcore import INS_ID
@@ -67,7 +70,10 @@ def make_step(vocab_size: int):
         t.append(time.perf_counter())
         _, _, d_logits = _ce(logits, labels[pm], out=logits)
         t.append(time.perf_counter())
-        lm_backward(model, cache, d_logits, pm, grads=adam.grads)
+        d_rows = lm_backward(model, cache, d_logits, pm, grads=adam.grads)
+        t.append(time.perf_counter())
+        del logits, d_logits
+        encoder_backward(model, cache, d_rows, grads=adam.grads)
         t.append(time.perf_counter())
         step(model.params, adam.grads, adam)
         t.append(time.perf_counter())
@@ -76,7 +82,7 @@ def make_step(vocab_size: int):
     return one_step, adam.flat.nbytes
 
 
-OPS = ("forward", "lm_logits", "_ce", "lm_backward", "step")
+OPS = ("forward", "lm_logits", "_ce", "lm_backward", "encoder_backward", "step")
 
 
 def timed_steps(one_step, steps: int) -> str:

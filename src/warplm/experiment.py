@@ -36,7 +36,7 @@ import numpy as np
 
 from .asrsim import NoiseConfig, make_noisy_slu_set, save_noisy_slu_set
 from .nnet import EncoderModel, ModelConfig
-from .nnet.parallel import _openblas_thread_controls, _usable_cpus, serial  # noqa: F401
+from .nnet.parallel import _usable_cpus, serial
 from .pretrain import pretrain, split_validation
 from .seeding import derive_seed
 from .slu import evaluate_slu, finetune, save_slu_file

@@ -12,19 +12,18 @@ dropout, residual) runs on [N, D] / [N, F] rows. q, k and v are scattered
 into a zeroed [B, T, D] only for the attention scores and `probs @ v`, and
 the context is gathered straight back. `hidden` is returned as [B, T, D]
 through one scatter and is exactly 0 at padding, so pad contents cannot
-reach any output or gradient. `encoder_backward` mirrors this from the
-real rows of `d_hidden`. Dropout masks are drawn at the padded [B, T, D]
+reach any output or gradient. `encoder_backward` takes dLoss/d(hidden) at
+the N real rows, [N, D]. Dropout masks are drawn at the padded [B, T, D]
 shape and then gathered, so the generator's stream is that of a dense
 pass. The tests keep the dense [B, T, D] encoder as an oracle.
 
 Activations, logits and gradients keep the parameter dtype: float32 models
 compute in float32 and float64 models (the gradient checks) in float64.
 
-A step's cost at desk sizes is mostly Python dispatch, so the kernels call
-ufuncs and their `reduce` directly rather than numpy's Python-level
-wrappers (`mean`, `sum`, `clip`, `tensordot`) and work in place. Each
-rewrite gives the same bits as the plain formula, which the tests keep as
-an oracle.
+The kernels call ufuncs and their `reduce` directly rather than numpy's
+Python-level wrappers (`mean`, `sum`, `clip`, `tensordot`) and work in
+place. Each rewrite gives the same bits as the plain formula, which the
+tests keep as an oracle.
 
 Every head computes logits only at the rows it scores: the LM head gathers
 the predicted rows of the hidden state *before* the tied output projection,
@@ -37,7 +36,8 @@ allocate no parameter-sized array; without one they fill a fresh buffer.
 The head works in place: `lm_logits` adds the bias into the matmul's
 output, `_ce` turns logits it is handed with `out=` into dLoss/dlogits, and
 the tied head writes its [V, D] gradient straight into the `tok_emb` entry.
-A step holds one [N_pred, V] array.
+A step holds one [N_pred, V] array, freed before the encoder's backward
+pass: `lm_backward` is the head alone and returns the row gradients.
 
 The head's vocabulary-sized work splits over the worker pool of
 `parallel` (one thread per usable CPU) once an op holds 2 *
@@ -365,30 +365,29 @@ def forward(
 def encoder_backward(
     model: EncoderModel,
     cache: dict,
-    d_hidden: np.ndarray,
+    d_rows: np.ndarray,
     freeze_ins: bool = True,
-    d_tok_emb: np.ndarray | None = None,
     *,
     grads: dict[str, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss w.r.t. every encoder parameter, added into
     `grads` (default: a fresh zeroed buffer), which is returned.
 
-    d_hidden [B,T,D] is dLoss/d(hidden) from whatever head sits on top; only
-    its real positions are read. The tied head's gradient for tok_emb is
-    either in grads["tok_emb"] already (lm_backward writes it there) or
-    passed as d_tok_emb; the input-embedding rows are summed apart and added
-    to it, so each entry gets the same final add whichever comes first.
-    out_bias is left to the head (lm_backward on the LM path).
+    d_rows [N,D] is dLoss/d(hidden) at the real rows, in the order of
+    hidden[pad_mask] (`cache["rows"]`), from whatever head sits on top. The
+    tied head's gradient for tok_emb may be in grads["tok_emb"] already
+    (lm_backward writes it there); the input-embedding rows are summed apart
+    and added to it. out_bias is left to the head.
     """
     cfg, P = model.config, model.params
     rows = cache["rows"]
     B, T, D = cache["hidden"].shape
+    if np.shape(d_rows) != (len(rows), D):
+        raise ValueError(f"d_rows shape {np.shape(d_rows)} != packed rows shape {(len(rows), D)}")
     if grads is None:
         grads = zero_grads(P)
 
-    dh = np.take(d_hidden.reshape(B * T, D), rows, axis=0)
-    dh = _layer_norm_backward(grads, P, "final_ln", dh, cache["lnfc"])
+    dh = _layer_norm_backward(grads, P, "final_ln", d_rows, cache["lnfc"])
 
     for l in reversed(range(cfg.n_layers)):
         p = f"layers.{l}."
@@ -426,11 +425,9 @@ def encoder_backward(
         dh *= cache["emb_drop"]
     _add_rows(grads["pos_emb"], rows % T, dh)
     ids, at = np.unique(cache["tok_ids"], return_inverse=True)
-    d_rows = np.zeros((len(ids), D), dh.dtype)
-    _add_rows(d_rows, at, dh)
-    grads["tok_emb"][ids] += d_rows
-    if d_tok_emb is not None:
-        grads["tok_emb"] += d_tok_emb
+    d_ids = np.zeros((len(ids), D), dh.dtype)
+    _add_rows(d_ids, at, dh)
+    grads["tok_emb"][ids] += d_ids
     if freeze_ins:
         grads["tok_emb"][INS_ID] = 0.0
     return grads
@@ -502,21 +499,19 @@ def lm_backward(
     cache: dict,
     d_logits: np.ndarray,
     predict_mask: np.ndarray,
-    freeze_ins: bool = True,
     *,
-    grads: dict[str, np.ndarray] | None = None,
-) -> dict[str, np.ndarray]:
-    """Backward through the tied head, then the encoder. Writes every
-    gradient into `grads` (default: a fresh buffer) and returns it.
-
-    d_logits is [N_pred, V], one row per True of predict_mask [B,T] in
-    row-major order (the order of hidden[predict_mask]); every other
-    position gets zero gradient from the head.
+    grads: dict[str, np.ndarray],
+) -> np.ndarray:
+    """Backward through the tied head alone. Writes the tok_emb and out_bias
+    gradients into `grads`, zeroing every other entry, and returns d_rows
+    [N,D] for encoder_backward: d_logits @ tok_emb at the predicted rows,
+    zero at the others. d_logits [N_pred, V] has one row per True of
+    predict_mask [B,T] in row-major order (that of hidden[predict_mask]).
     """
     tok_emb = model.params["tok_emb"]
     pm = np.asarray(predict_mask, dtype=bool)
     hidden = cache["hidden"]
-    grads = zero_grads(model.params, grads, keep="tok_emb")
+    zero_grads(model.params, grads, keep="tok_emb")
     h_pred = hidden[pm]
     d_pred = np.empty_like(h_pred)
 
@@ -533,10 +528,9 @@ def lm_backward(
     V = len(tok_emb)
     k = len(parallel.split(V, d_logits.size, VOCAB_UNIT))
     parallel.run(head, [(-1, V)] if k == 1 else [(-1, 0)] + parallel.cut(V, k - 1, VOCAB_UNIT))
-    d_hidden = np.zeros(hidden.shape, hidden.dtype)
-    d_hidden[pm] = d_pred
-    encoder_backward(model, cache, d_hidden, freeze_ins, grads=grads)
-    return grads
+    d_rows = np.zeros((len(cache["rows"]), hidden.shape[-1]), hidden.dtype)
+    d_rows[pm.reshape(-1)[cache["rows"]]] = d_pred
+    return d_rows
 
 
 def lm_loss_and_grads(
@@ -557,8 +551,14 @@ def lm_loss_and_grads(
     pm = np.asarray(predict_mask, dtype=bool)
     if pm.shape != np.shape(input_ids):
         raise ValueError(f"predict_mask shape {pm.shape} != input_ids shape {np.shape(input_ids)}")
+    if (pm & ~np.asarray(pad_mask, dtype=bool)).any():
+        raise ValueError("predict_mask selects a padding position")
     hidden, cache = forward(model, input_ids, pad_mask, dropout_rng)
     logits = lm_logits(model, hidden[pm])
     loss, acc, d_logits = _ce(logits, np.asarray(label_ids)[pm], out=logits)
-    grads = lm_backward(model, cache, d_logits, pm, freeze_ins=freeze_ins, grads=grads)
-    return loss, acc, len(logits), grads
+    n_pred = len(logits)
+    grads = zero_grads(model.params) if grads is None else grads
+    d_rows = lm_backward(model, cache, d_logits, pm, grads=grads)
+    del logits, d_logits
+    encoder_backward(model, cache, d_rows, freeze_ins, grads=grads)
+    return loss, acc, n_pred, grads

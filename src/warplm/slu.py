@@ -259,16 +259,16 @@ def slu_loss_and_grads(model: SLUModel, utts, dropout_rng=None, freeze_encoder=F
     s_loss, _, d_slot = _ce(slot_logits, tag_ids[tag_mask], out=slot_logits)
     loss = i_loss + s_loss
 
-    d_hidden = np.zeros(ids.shape + h_cls.shape[1:], dtype=h_cls.dtype)
-    d_hidden[tag_mask] = d_slot @ H["slot_w"].T
-    d_hidden[:, 0] += d_int @ H["intent_w"].T
     grads = zero_grads(_trainable(model, freeze_encoder), grads)
     np.matmul(h_cls.T, d_int, out=grads["head.intent_w"])
     np.add.reduce(d_int, axis=0, out=grads["head.intent_b"])
     np.matmul(h_tag.T, d_slot, out=grads["head.slot_w"])
     np.add.reduce(d_slot, axis=0, out=grads["head.slot_b"])
     if not freeze_encoder:
-        encoder_backward(model.encoder, cache, d_hidden, freeze_ins=True, grads=grads)
+        d_rows = np.zeros((len(cache["rows"]), h_cls.shape[1]), h_cls.dtype)
+        d_rows[tag_mask[pad_mask]] = d_slot @ H["slot_w"].T
+        d_rows[cache["rows"] % ids.shape[1] == 0] += d_int @ H["intent_w"].T  # the CLS rows
+        encoder_backward(model.encoder, cache, d_rows, freeze_ins=True, grads=grads)
     return float(loss), grads
 
 

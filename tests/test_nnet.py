@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import textwrap
@@ -363,7 +364,7 @@ def full_logits_reference(model, ids, pad, labels, pm, dropout_rng=None, freeze_
     d = np.exp(logp)
     d[b, t, labels[b, t]] -= 1.0
     d *= pm[..., None] / n
-    grads = encoder_backward(model, cache, d @ P["tok_emb"], freeze_ins=False)
+    grads = encoder_backward(model, cache, (d @ P["tok_emb"])[pad], freeze_ins=False)
     grads["out_bias"] += d.sum(axis=(0, 1))
     grads["tok_emb"] += np.tensordot(d, hidden, axes=([0, 1], [0, 1]))
     if freeze_ins:
@@ -405,6 +406,22 @@ def test_gather_first_rejects_empty_or_misshapen_mask():
         lm_loss_and_grads(model, ids, pad, labels, pm[:, :-1])
 
 
+def test_predict_mask_at_padding_and_grid_shaped_row_gradient_raise():
+    """A predicted position must be real: the head's row gradients are
+    indexed by the packed rows. encoder_backward takes [N, D] rows only, so
+    an old-style [B, T, D] gradient fails instead of broadcasting."""
+    model = tiny_model()
+    ids, pad, labels, pm = tiny_batch()
+    assert not pad[0, -1]
+    pm[0, -1] = True
+    with pytest.raises(ValueError, match="predict_mask selects a padding position"):
+        lm_loss_and_grads(model, ids, pad, labels, pm)
+    hidden, cache = forward(model, ids, pad)
+    shapes = f"{hidden.shape} != packed rows shape ({pad.sum()}, {TINY.d_model})"
+    with pytest.raises(ValueError, match=re.escape(shapes)):
+        encoder_backward(model, cache, np.zeros_like(hidden))
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_forward_and_lm_grads_keep_parameter_dtype(dtype):
     model = tiny_model(dtype=dtype)
@@ -430,7 +447,7 @@ def test_encoder_backward_matches_fd_through_plain_head():
     hidden, cache = forward(model, ids, pad)
     d_hidden = np.zeros_like(hidden)
     d_hidden[pad] = probe
-    grads = encoder_backward(model, cache, d_hidden, freeze_ins=False)
+    grads = encoder_backward(model, cache, d_hidden[pad], freeze_ins=False)
     eps = 1e-5
     name = "layers.1.ffn.w1"
     flat = model.params[name].reshape(-1)
@@ -598,7 +615,9 @@ def test_packed_encoder_matches_the_dense_reference(lengths, dropout, freeze_ins
     probe = np.random.default_rng(7)
     d_hidden = np.where(pad[..., None], probe.normal(size=hidden.shape), 0.0)
     d_tok_emb = probe.normal(size=model.params["tok_emb"].shape)
-    grads = encoder_backward(model, cache, d_hidden, freeze_ins, d_tok_emb=d_tok_emb)
+    grads = warplm.nnet.encoder.zero_grads(model.params)
+    grads["tok_emb"][...] = d_tok_emb  # the tied head's gradient, as lm_backward writes it
+    encoder_backward(model, cache, d_hidden[pad], freeze_ins, grads=grads)
     ref = dense_encoder_backward(model, ref_cache, d_hidden, freeze_ins, d_tok_emb=d_tok_emb)
     assert set(grads) == set(ref)
     for name in ref:
@@ -1085,8 +1104,8 @@ def test_lm_grads_written_into_adams_buffer_match_a_fresh_buffer(dtype, freeze_i
 def test_tied_tok_emb_gradient_matches_add_at_then_head(dtype, freeze_ins, monkeypatch):
     """The tok_emb gradient is the old formula's bits: the input-embedding
     rows scattered into zeros with np.add.at, then the tied head's [V, D]
-    gradient added, then the [INS] row zeroed. Checked both with the head's
-    gradient passed as d_tok_emb and already in the handed buffer."""
+    gradient added, then the [INS] row zeroed, with the head's gradient
+    already in the handed buffer."""
     model = tiny_model(dtype=dtype)
     ids, pad = rows_of_lengths([7, 3, 6, 5], seed=9)
     ids[:, :3] = [INS_ID, 6, 6]  # every row repeats id 6 and holds [INS]
@@ -1099,11 +1118,10 @@ def test_tied_tok_emb_gradient_matches_add_at_then_head(dtype, freeze_ins, monke
     real_add_rows = warplm.nnet.encoder._add_rows
     monkeypatch.setattr(warplm.nnet.encoder, "_add_rows",
                         lambda g, index, dy: seen.append(dy.copy()) or real_add_rows(g, index, dy))
-    by_arg = encoder_backward(model, cache, d_hidden, freeze_ins, d_tok_emb=d_tok_emb)
-    dh = seen[0]  # the embedding rows' gradient, as first scattered into pos_emb
     handed = warplm.nnet.encoder.zero_grads(model.params)
     handed["tok_emb"][...] = d_tok_emb
-    encoder_backward(model, cache, d_hidden, freeze_ins, grads=handed)
+    encoder_backward(model, cache, d_hidden[pad], freeze_ins, grads=handed)
+    dh = seen[0]  # the embedding rows' gradient, as first scattered into pos_emb
 
     want = np.zeros_like(d_tok_emb)
     np.add.at(want, cache["tok_ids"], dh)
@@ -1111,7 +1129,6 @@ def test_tied_tok_emb_gradient_matches_add_at_then_head(dtype, freeze_ins, monke
     if freeze_ins:
         want[INS_ID] = 0.0
     assert len(np.unique(cache["tok_ids"])) < len(cache["tok_ids"])
-    assert by_arg["tok_emb"].tobytes() == want.tobytes()
     assert handed["tok_emb"].tobytes() == want.tobytes()
 
 
@@ -1139,11 +1156,13 @@ def test_in_place_head_matches_the_copying_formulas(dtype):
     assert in_place[2].tobytes() == copied[2].tobytes()
 
 
-def test_lm_step_allocates_under_twice_the_parameters_at_a_30k_vocab():
-    """One LM step plus its Adam step on a pretrain-v30k-shaped batch (B 32,
-    T 15, sentences of 5-15 ids, 15% of their positions predicted) at V
-    30000 and desk dims allocates under 2x the parameter bytes; the step
-    itself allocates nothing larger than a block."""
+@pytest.mark.parametrize("dense", [False, True], ids=["padded", "dense"])
+def test_lm_step_allocates_under_twice_the_parameters_at_a_30k_vocab(dense):
+    """One LM step plus its Adam step at V 30000 and desk dims allocates
+    under 2x the parameter bytes, on a pretrain-v30k-shaped batch (B 32, T
+    15, sentences of 5-15 ids, 15% of their positions predicted) and on a
+    dense one (no padding, 62 of 480 positions predicted); the step itself
+    allocates nothing larger than a block."""
     import tracemalloc
     from warplm.nnet.adam import BLOCK
     V, B, T = 30000, 32, 15
@@ -1155,6 +1174,10 @@ def test_lm_step_allocates_under_twice_the_parameters_at_a_30k_vocab():
     ids = np.where(pad, rng.integers(INS_ID + 1, V, size=(B, T)), 0)
     labels = np.where(pad, rng.integers(INS_ID + 1, V, size=(B, T)), 0)
     pm = pad & (rng.random((B, T)) < 0.15)
+    if dense:
+        pad = np.ones((B, T), bool)
+        ids, labels = rng.integers(INS_ID + 1, V, size=(2, B, T))
+        pm = rng.permutation(B * T).reshape(B, T) < 62
     drop_rng = np.random.default_rng(1)
 
     def lm_step():
@@ -1175,6 +1198,29 @@ def test_lm_step_allocates_under_twice_the_parameters_at_a_30k_vocab():
     assert max(step_peak, adam_peak) < 2 * st.flat.nbytes
     assert adam_peak - before < BLOCK * st.flat.itemsize
     assert current - before < BLOCK * st.flat.itemsize
+
+
+def test_lm_step_releases_the_logits_before_the_encoder_backward(monkeypatch):
+    """The head's [N_pred, V] d_logits (the largest array of a 30k-vocabulary
+    step) is freed before the encoder's backward pass starts."""
+    import weakref
+    real_head = warplm.nnet.encoder.lm_backward
+    real_encoder = warplm.nnet.encoder.encoder_backward
+    refs, alive = [], []
+
+    def head(model, cache, d_logits, *args, **kwargs):
+        refs.extend(weakref.ref(a) for a in (d_logits, d_logits.base) if a is not None)
+        return real_head(model, cache, d_logits, *args, **kwargs)
+
+    def encoder(*args, **kwargs):
+        alive.append([r() is not None for r in refs])
+        return real_encoder(*args, **kwargs)
+
+    monkeypatch.setattr(warplm.nnet.encoder, "lm_backward", head)
+    monkeypatch.setattr(warplm.nnet.encoder, "encoder_backward", encoder)
+    ids, pad, labels, pm = tiny_batch()
+    lm_loss_and_grads(tiny_model(), ids, pad, labels, pm)
+    assert refs and alive == [[False] * len(refs)]
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

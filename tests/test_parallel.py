@@ -17,7 +17,7 @@ import warplm.experiment
 from warplm.nnet import ModelConfig, forward, init_adam, init_model, lm_backward, lm_logits, step
 from warplm.nnet import parallel
 from warplm.nnet.adam import BETA1, BETA2, BLOCK, EPS
-from warplm.nnet.encoder import VOCAB_UNIT, _ce, encoder_backward, zero_grads
+from warplm.nnet.encoder import VOCAB_UNIT, _ce, zero_grads
 from warplm.pretrain import pretrain
 from warplm.textcore import SPECIAL_TOKENS, Vocab
 from warplm.warp import WarpConfig
@@ -51,16 +51,17 @@ def ref_ce(logits, label_ids, *, out=None):
     return loss, acc, d
 
 
-def ref_lm_backward(model, cache, d_logits, pm, freeze_ins=True):
+def ref_lm_backward(model, cache, d_logits, pm):
+    """The unsplit tied head: (grads, zero but tok_emb and out_bias, and
+    dLoss/d(hidden) at the real rows)."""
     P = model.params
     hidden = cache["hidden"]
     grads = zero_grads(P)
     d_hidden = np.zeros(hidden.shape, hidden.dtype)
     d_hidden[pm] = d_logits @ P["tok_emb"]
     np.matmul(d_logits.T, hidden[pm], out=grads["tok_emb"])
-    encoder_backward(model, cache, d_hidden, freeze_ins, grads=grads)
     grads["out_bias"] += np.add.reduce(d_logits, axis=0)
-    return grads
+    return grads, d_hidden.reshape(-1, hidden.shape[-1])[cache["rows"]]
 
 
 def ref_adam_step(state):
@@ -179,14 +180,14 @@ def test_split_lm_backward_matches_the_unsplit_head_bit_for_bit(dtype, n_pred, n
     ids, pad, labels, pm = lm_batch(n_pred)
     hidden, cache = forward(model, ids, pad)
     _, _, d_logits = ref_ce(ref_lm_logits(model, hidden[pm]), labels[pm])
-    want = ref_lm_backward(model, cache, d_logits, pm)
+    want, want_rows = ref_lm_backward(model, cache, d_logits, pm)
     handed = zero_grads(model.params)
     for g in handed.values():
         g[...] = np.nan  # stale contents must not leak into any gradient
-    got = lm_backward(model, cache, d_logits, pm, grads=handed)
-    assert got is handed
+    d_rows = lm_backward(model, cache, d_logits, pm, grads=handed)
+    assert d_rows.tobytes() == want_rows.tobytes()
     for name in model.params:
-        assert got[name].tobytes() == want[name].tobytes(), name
+        assert handed[name].tobytes() == want[name].tobytes(), name
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -224,7 +225,7 @@ def filler_vocab(size):
 
 
 def test_a_30k_vocabulary_pretrain_writes_the_same_bytes_at_any_blas_thread_count():
-    controls = warplm.experiment._openblas_thread_controls()
+    controls = parallel._openblas_thread_controls()
     if not controls:
         pytest.skip("numpy's OpenBLAS thread-count functions were not found")
     get, set_ = controls[0]

@@ -391,7 +391,7 @@ def full_shape_slu_reference(model, utts, dropout_rng=None, freeze_encoder=False
         "head.slot_b": d_slot.sum(axis=(0, 1)),
     }
     if not freeze_encoder:
-        grads.update(encoder_backward(model.encoder, cache, d_hidden, freeze_ins=True))
+        grads.update(encoder_backward(model.encoder, cache, d_hidden[pad], freeze_ins=True))
     return i_loss + s_loss, grads
 
 
