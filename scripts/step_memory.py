@@ -1,4 +1,5 @@
-"""Print the memory and time of one LM training step plus its Adam step.
+"""Print the memory and time of one LM training step plus its Adam step,
+and the memory of validation.
 
     PYTHONPATH=src python scripts/step_memory.py V [STEPS]
 
@@ -14,6 +15,8 @@ it. After one warm-up step the script prints:
 
 - `peak`: the `tracemalloc` peak of one step, in MB and as a multiple of
   the parameter bytes (tracemalloc counts numpy's array data);
+- `val_peak`: the same for one `evaluate_lm` pass over VAL_BATCHES more
+  such batches (batch size B, as `pretrain` validates), after a warm-up pass;
 - `minor_faults`: minor page faults per step (`resource.getrusage`), over
   STEPS steps (default 50) run without tracemalloc;
 - `step_ms`, twice: the median wall time of those steps and of each op,
@@ -36,9 +39,12 @@ from warplm.nnet import (
 )
 from warplm.nnet import parallel
 from warplm.nnet.encoder import _ce
+from warplm.pretrain import evaluate_lm
 from warplm.textcore import INS_ID
+from warplm.warp import WarpedExample, WarpPlan
 
 B, T, P_PREDICT = 32, 15, 0.15
+VAL_BATCHES = 3
 
 
 def pretrain_batch(vocab_size: int, seed: int = 0):
@@ -54,9 +60,22 @@ def pretrain_batch(vocab_size: int, seed: int = 0):
     return ids, pad, labels, pm
 
 
+def validation_set(vocab_size: int) -> list[WarpedExample]:
+    """The rows of VAL_BATCHES batches of `pretrain_batch` (seeds 1, 2, ...)
+    as the warped examples `evaluate_lm` reads."""
+    examples = []
+    for seed in range(1, VAL_BATCHES + 1):
+        ids, pad, labels, pm = pretrain_batch(vocab_size, seed)
+        for b, n in enumerate(pad.sum(axis=1)):
+            row = ids[b, :n].tolist()
+            examples.append(WarpedExample(row, labels[b, :n].tolist(), pm[b, :n].tolist(),
+                                          row, WarpPlan(int(n), {})))
+    return examples
+
+
 def make_step(vocab_size: int):
-    """-> (one-step closure, parameter bytes) for a fresh desk model. The
-    closure returns the wall time of each op, in seconds."""
+    """-> (one-step closure, model, parameter bytes) for a fresh desk model.
+    The closure returns the wall time of each op, in seconds."""
     model = init_model(ModelConfig.desk(vocab_size), seed=0)
     adam = init_adam(model.params)
     ids, pad, labels, pm = pretrain_batch(vocab_size)
@@ -79,7 +98,7 @@ def make_step(vocab_size: int):
         t.append(time.perf_counter())
         return np.diff(t)
 
-    return one_step, adam.flat.nbytes
+    return one_step, model, adam.flat.nbytes
 
 
 OPS = ("forward", "lm_logits", "_ce", "lm_backward", "encoder_backward", "step")
@@ -98,13 +117,20 @@ def main(argv: list[str]) -> int:
         return 2
     vocab_size = int(argv[0])
     steps = int(argv[1]) if len(argv) > 1 else 50
-    one_step, param_bytes = make_step(vocab_size)
+    one_step, model, param_bytes = make_step(vocab_size)
+    val = validation_set(vocab_size)
     with parallel.one_blas_thread():
         one_step()  # warm-up: first-touch of Adam's buffers, numpy's caches and the pool
 
         tracemalloc.start()
         one_step()
         _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+
+        evaluate_lm(model, val, B)  # warm-up
+        tracemalloc.start()
+        evaluate_lm(model, val, B)
+        _, val_peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
 
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -115,6 +141,8 @@ def main(argv: list[str]) -> int:
 
     print(f"V={vocab_size} params={param_bytes / 1e6:.1f} MB steps={steps}")
     print(f"peak {peak / 1e6:.1f} MB = {peak / param_bytes:.2f}x the parameters")
+    print(f"val_peak {val_peak / 1e6:.1f} MB = {val_peak / param_bytes:.2f}x the parameters "
+          f"(evaluate_lm, {len(val)} sentences)")
     print(f"minor_faults {faults / steps:.0f} per step")
     print(f"step_ms {pool}, {parallel.workers()} workers")
     print(f"step_ms {one_worker}, 1 worker")

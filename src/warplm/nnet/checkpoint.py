@@ -2,7 +2,7 @@
 
 Layout (all integers little-endian):
     magic   4 bytes  b"WLM1"
-    version u32      currently 1
+    version u32      currently 2
     hlen    u32      length of canonical-JSON header (sorted keys, no spaces)
     header  hlen bytes, utf-8 JSON
     count   u32      number of tensors
@@ -31,7 +31,7 @@ from ..textcore import naming
 from .model import EncoderModel, ModelConfig, head_shapes, param_shapes
 
 CHECKPOINT_MAGIC = b"WLM1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # header keys the loaders read and their JSON types, per checkpoint kind
 HEADER_KEYS = {

@@ -182,8 +182,10 @@ def _layer_norm_backward(grads, P, name, dy, cache):
 
 def _linear_backward(grads, P, w, b, x, dy):
     """Add the gradients of y = x @ P[w] + P[b] to `grads`, summed over
-    every leading axis of x and dy ([N,*] or [B,T,*]); returns dLoss/dx."""
-    grads[b] += np.add.reduce(dy, axis=tuple(range(dy.ndim - 1)))
+    every leading axis of x and dy ([N,*] or [B,T,*]), b's only if `grads`
+    holds b (a projection without a bias has none); returns dLoss/dx."""
+    if b in grads:
+        grads[b] += np.add.reduce(dy, axis=tuple(range(dy.ndim - 1)))
     grads[w] += x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
     return dy @ P[w].T
 
@@ -317,7 +319,8 @@ def forward(
         qkv = np.zeros((3, B * T, D), dtype)
         for j, nm in enumerate("qkv"):
             z = x1 @ P[p + f"attn.w{nm}"]
-            z += P[p + f"attn.b{nm}"]
+            if p + f"attn.b{nm}" in P:  # a bias only where model.param_shapes lists one
+                z += P[p + f"attn.b{nm}"]
             qkv[j, rows] = z
         q, k, v = (_split_heads(x.reshape(grid), H) for x in qkv)
         s = q @ k.transpose(0, 1, 3, 2)
@@ -486,12 +489,15 @@ def _ce(logits, label_ids, *, out=None):
 
 
 def lm_loss(logits, label_ids, predict_mask):
-    """(mean NLL over predicted positions, accuracy, n_predicted), scoring
-    the rows of `logits` [..., V] that `predict_mask` [...] selects."""
+    """(mean NLL, accuracy, n_predicted) of logits [N_pred, V], one row per
+    True of predict_mask [B,T] in row-major order (as lm_backward's
+    d_logits), against label_ids [B,T]. Overwrites logits with dLoss/dlogits."""
     pm = np.asarray(predict_mask, dtype=bool)
-    scored = logits[pm]
-    loss, acc, _ = _ce(scored, np.asarray(label_ids)[pm], out=scored)
-    return loss, acc, int(pm.sum())
+    n = int(pm.sum())
+    if np.ndim(logits) != 2 or len(logits) != n:
+        raise ValueError(f"logits shape {np.shape(logits)} != ({n}, V): {n} predicted rows")
+    loss, acc, _ = _ce(logits, np.asarray(label_ids)[pm], out=logits)
+    return loss, acc, n
 
 
 def lm_backward(

@@ -75,9 +75,9 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         p = f"layers.{l}."
         shapes[p + "ln1.g"] = (D,)
         shapes[p + "ln1.b"] = (D,)
-        for nm in ("q", "k", "v", "o"):
-            shapes[p + f"attn.w{nm}"] = (D, D)
-            shapes[p + f"attn.b{nm}"] = (D,)
+        # no "bk": a key bias shifts each query's scores by one constant, which softmax ignores
+        for nm in ("wq", "bq", "wk", "wv", "bv", "wo", "bo"):
+            shapes[p + "attn." + nm] = (D, D) if nm[0] == "w" else (D,)
         shapes[p + "ln2.g"] = (D,)
         shapes[p + "ln2.b"] = (D,)
         shapes[p + "ffn.w1"] = (D, F)
@@ -129,17 +129,17 @@ class EncoderModel:
         )
 
 
+def init_params(shapes: dict[str, tuple], rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """float32 tensors for `shapes`, drawn in its order: matrices ~
+    N(0, INIT_STD^2) from `rng`, layer-norm gains (".g") 1, other vectors 0."""
+    return {
+        name: rng.normal(0.0, INIT_STD, size=shape).astype(np.float32) if len(shape) == 2
+        else np.full(shape, float(name.endswith(".g")), np.float32)
+        for name, shape in shapes.items()
+    }
+
+
 def init_model(config: ModelConfig, seed: int = 0) -> EncoderModel:
-    """Weights ~ N(0, 0.02^2); layer-norm gains 1; all biases 0. float32."""
+    """The encoder's parameters by `init_params`, drawn from `seed`."""
     rng = np.random.default_rng(derive_seed(seed, 0xE0))
-    params: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(config).items():
-        leaf = name.rsplit(".", 1)[-1]
-        if leaf == "g":
-            arr = np.ones(shape, dtype=np.float32)
-        elif leaf in ("b", "b1", "b2", "bq", "bk", "bv", "bo", "out_bias"):
-            arr = np.zeros(shape, dtype=np.float32)
-        else:
-            arr = rng.normal(0.0, INIT_STD, size=shape).astype(np.float32)
-        params[name] = arr
-    return EncoderModel(config, params)
+    return EncoderModel(config, init_params(param_shapes(config), rng))

@@ -92,9 +92,8 @@ def evaluate_lm(model: EncoderModel, examples: list[WarpedExample], batch_size: 
         ids, pad_mask, labels, pm = pad_batch(chunk, model.config.max_len)
         if not pm.any():
             continue
-        hidden, _ = forward(model, ids, pad_mask)
-        logits = lm_logits(model, hidden[pm])
-        loss, acc, n_pred = lm_loss(logits, labels[pm], np.ones(len(logits), dtype=bool))
+        hidden = forward(model, ids, pad_mask)[0]  # the cache is not kept into the next batch
+        loss, acc, n_pred = lm_loss(lm_logits(model, hidden[pm]), labels, pm)
         total_nll += loss * n_pred
         total_correct += acc * n_pred
         total_pred += n_pred

@@ -23,7 +23,7 @@ import numpy as np
 from .nnet import EncoderModel, encoder_backward, forward, init_adam, step
 from .nnet.checkpoint import load_model_checkpoint, save_model
 from .nnet.encoder import _ce, pad_rows, zero_grads
-from .nnet.model import head_shapes
+from .nnet.model import head_shapes, init_params
 from .seeding import derive_seed
 from .textcore import CLS_ID, PAD_ID, Vocab, naming
 
@@ -185,12 +185,8 @@ def init_slu_model(
     encoder: EncoderModel, intent_labels, tag_labels, seed: int = 0
 ) -> SLUModel:
     rng = np.random.default_rng(derive_seed(seed, _SEED_HEAD_INIT))
-    D = encoder.config.d_model
-    head = {
-        k: (rng.normal(0, 0.02, s) if k.endswith("_w") else np.zeros(s)).astype(np.float32)
-        for k, s in head_shapes(D, len(intent_labels), len(tag_labels)).items()
-    }
-    return SLUModel(encoder, list(intent_labels), list(tag_labels), head)
+    shapes = head_shapes(encoder.config.d_model, len(intent_labels), len(tag_labels))
+    return SLUModel(encoder, list(intent_labels), list(tag_labels), init_params(shapes, rng))
 
 
 def _input_rows(utts: list[TaggedUtterance]) -> list[list[int]]:

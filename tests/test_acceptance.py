@@ -123,7 +123,7 @@ def test_03_gradient_correctness_every_parameter():
 
     def loss_fn() -> float:
         hidden, _ = forward(model, ids, pad, None)
-        loss, _, _ = lm_loss(lm_logits(model, hidden), labels, pred)
+        loss, _, _ = lm_loss(lm_logits(model, hidden)[pred], labels, pred)
         return loss
 
     # freeze off: the check is that the analytic derivative of the loss is

@@ -330,6 +330,31 @@ def test_finetune_truncated_checkpoint_is_single_line_error(workspace, tmp_path,
         assert "cut.ckpt" in err
 
 
+def test_version_1_checkpoint_is_single_line_error(workspace, tmp_path, capsys):
+    """A version-1 encoder checkpoint, whose layers still hold the key bias
+    attn.bk, is refused by load_encoder and by finetune, which writes nothing."""
+    data = workspace / "data"
+    vocab = load_vocab(data / "vocab.txt")
+    cfg = tiny_config(vocab)
+    params = dict(init_model(cfg).params)
+    params.update({f"layers.{l}.attn.bk": np.zeros(cfg.d_model, np.float32)
+                   for l in range(cfg.n_layers)})
+    old = tmp_path / "v1.ckpt"
+    save_checkpoint(old, {"kind": "encoder", "config": dataclasses.asdict(cfg),
+                          "vocab_hash": vocab.content_hash}, params)
+    raw = bytearray(old.read_bytes())
+    raw[4:8] = struct.pack("<I", 1)
+    old.write_bytes(raw)
+    with pytest.raises(ValueError, match=r"v1\.ckpt: unsupported checkpoint version 1$"):
+        load_encoder(old)
+    code, out, err = run(capsys, "finetune", "--checkpoint", str(old),
+                         "--train", str(data / "slu_train.tsv"), "--val", str(data / "slu_val.tsv"),
+                         "--vocab", str(data / "vocab.txt"), "--out", str(tmp_path / "slu.ckpt"))
+    assert code == 2 and out == ""
+    assert err == f"error: {old}: unsupported checkpoint version 1\n"
+    assert list(tmp_path.iterdir()) == [old]
+
+
 def tiny_config(vocab):
     return ModelConfig(len(vocab), d_model=8, n_layers=1, n_heads=2, d_ff=16, max_len=32)
 

@@ -199,7 +199,7 @@ def test_param_count_matches_shape_sum_and_closed_form():
     shapes = param_shapes(TINY)
     assert param_count(TINY) == sum(int(np.prod(s)) for s in shapes.values())
     V, D, F, L, M = 17, 8, 12, 2, 10
-    per_layer = 2 * D + 4 * (D * D + D) + 2 * D + (D * F + F) + (F * D + D)
+    per_layer = 2 * D + (4 * D * D + 3 * D) + 2 * D + (D * F + F) + (F * D + D)
     expected = V * D + M * D + L * per_layer + 2 * D + V
     assert param_count(TINY) == expected
 
@@ -271,7 +271,7 @@ def test_dropout_off_is_deterministic_and_on_changes_activations():
 def test_masked_ce_hand_value():
     # single position: logits [1,2,3], label 2
     # nll = ln(e + e^2 + e^3) - 3, derived independently here
-    logits = np.array([[[1.0, 2.0, 3.0]]])
+    logits = np.array([[1.0, 2.0, 3.0]])
     labels = np.array([[2]])
     pm = np.array([[True]])
     loss, acc, n = lm_loss(logits, labels, pm)
@@ -293,15 +293,39 @@ def test_masked_ce_gradient_rows():
 
 
 def test_masked_ce_empty_mask_errors():
-    logits = np.zeros((1, 2, 3))
+    logits = np.zeros((0, 3))
     with pytest.raises(ValueError, match="no predictions in batch"):
         lm_loss(logits, np.zeros((1, 2), int), np.zeros((1, 2), bool))
+
+
+def test_lm_loss_rejects_logits_that_are_not_one_row_per_prediction():
+    labels, pm = np.zeros((1, 3), int), np.array([[True, False, True]])
+    assert lm_loss(np.zeros((2, 4)), labels, pm)[2] == 2
+    for shape in [(1, 4), (3, 4), (1, 3, 4)]:
+        with pytest.raises(ValueError, match="2 predicted rows"):
+            lm_loss(np.zeros(shape), labels, pm)
 
 
 # -------------------------------------------------- full gradient checking
 
 def rel_err(a, b):
     return abs(a - b) / max(1e-4, abs(a) + abs(b))
+
+
+def test_every_parameter_gets_a_nonzero_gradient():
+    """No tensor is dead weight: with random nonzero biases and gains, one
+    LM batch moves every tensor's gradient well above rounding. (A key bias
+    reads about 1e-20: it shifts each query's scores by a constant, which
+    softmax ignores.)"""
+    model = tiny_model()
+    rng = np.random.default_rng(5)
+    for p in model.params.values():
+        if p.ndim == 1:
+            p += rng.normal(0.0, 0.5, p.shape)
+    ids, pad, labels, pm = tiny_batch()
+    grads = lm_loss_and_grads(model, ids, pad, labels, pm, freeze_ins=False)[3]
+    largest = {name: float(np.abs(g).max()) for name, g in grads.items()}
+    assert {name: m for name, m in largest.items() if not m > 1e-12} == {}
 
 
 def test_full_finite_difference_sample():
@@ -313,7 +337,7 @@ def test_full_finite_difference_sample():
 
     def loss_at():
         h, _ = forward(model, ids, pad)
-        l, _, _ = lm_loss(lm_logits(model, h), labels, pm)
+        l, _, _ = lm_loss(lm_logits(model, h)[pm], labels, pm)
         return l
 
     eps = 1e-5
@@ -500,7 +524,7 @@ def dense_forward(model, ids, mask, dropout_rng=None):
         p = f"layers.{l}."
         x1, ln1c = _layer_norm(h, P[p + "ln1.g"], P[p + "ln1.b"])
         q = dense_split_heads(x1 @ P[p + "attn.wq"] + P[p + "attn.bq"], cfg.n_heads)
-        k = dense_split_heads(x1 @ P[p + "attn.wk"] + P[p + "attn.bk"], cfg.n_heads)
+        k = dense_split_heads(x1 @ P[p + "attn.wk"], cfg.n_heads)
         v = dense_split_heads(x1 @ P[p + "attn.wv"] + P[p + "attn.bv"], cfg.n_heads)
         s = q @ k.transpose(0, 1, 3, 2)
         s *= scale
@@ -961,7 +985,7 @@ def test_checkpoint_magic_and_version(tmp_path):
     save_encoder(p, model, "h")
     raw = p.read_bytes()
     assert raw[:4] == b"WLM1"
-    assert raw[4:8] == (1).to_bytes(4, "little")
+    assert raw[4:8] == (2).to_bytes(4, "little")
     (tmp_path / "junk.ckpt").write_bytes(b"NOPE" + raw[4:])
     with pytest.raises(ValueError, match="magic"):
         load_checkpoint(tmp_path / "junk.ckpt")

@@ -4,10 +4,10 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from warplm.nnet import ModelConfig
+from warplm.nnet import ModelConfig, init_model
 from warplm.pretrain import EpochStats, evaluate_lm, pad_batch, pretrain, validation_warps
 from warplm.synth import synth_corpus_text, synth_vocab
-from warplm.textcore import PAD_ID, corpus_from_text
+from warplm.textcore import INS_ID, PAD_ID, corpus_from_text
 from warplm.warp import WarpConfig, WarpedExample, WarpPlan
 
 VOCAB = synth_vocab()
@@ -94,6 +94,31 @@ def test_evaluate_lm_fixed_warps():
                for seed in (3, 3, 4))
     assert a == b
     assert a != c  # different warps, different measurement
+
+
+def test_evaluate_lm_allocates_under_twice_the_parameters_at_a_30k_vocab():
+    """Validation at V 30000 and desk dims, over three pretraining-shaped
+    batches of 32 (sentences of 12 to 15 ids, 15% of the positions
+    predicted), stays within a training step's budget of 2x the parameter
+    bytes: one batch's [N_pred, V] logits are alive at a time, scored in
+    place."""
+    import tracemalloc
+    V = 30000
+    model = init_model(ModelConfig.desk(V), seed=0)
+    rng = np.random.default_rng(0)
+    examples = []
+    for n in rng.integers(12, 16, size=96):
+        ids = rng.integers(INS_ID + 1, V, size=n).tolist()
+        pm = (rng.random(n) < 0.15).tolist()
+        examples.append(WarpedExample(ids, ids, pm, ids, WarpPlan(int(n), {})))
+    evaluate_lm(model, examples, batch_size=32)  # warm-up: numpy's caches and the pool
+    tracemalloc.start()
+    try:
+        evaluate_lm(model, examples, batch_size=32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * sum(p.nbytes for p in model.params.values())
 
 
 def test_epoch_stats_json_shape():
