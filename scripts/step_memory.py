@@ -19,10 +19,8 @@ it. After one warm-up step the script prints:
   such batches (batch size B, as `pretrain` validates), after a warm-up pass;
 - `minor_faults`: minor page faults per step (`resource.getrusage`), over
   STEPS steps (default 50) run without tracemalloc;
-- `step_ms`, twice: the median wall time of those steps and of each op,
-  first with the split pool at one worker per usable CPU, then pinned to
-  one worker by `nnet.parallel.serial()`, as the experiment's cell
-  processes run. lm_backward is the tied head alone.
+- `step_ms`: the median wall time of those steps and of each op.
+  lm_backward is the tied head alone.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ import numpy as np
 from warplm.nnet import (
     ModelConfig, encoder_backward, forward, init_adam, init_model, lm_backward, lm_logits, step,
 )
-from warplm.nnet import parallel
+from warplm.nnet.blas import one_blas_thread
 from warplm.nnet.encoder import _ce
 from warplm.pretrain import evaluate_lm
 from warplm.textcore import INS_ID
@@ -119,8 +117,8 @@ def main(argv: list[str]) -> int:
     steps = int(argv[1]) if len(argv) > 1 else 50
     one_step, model, param_bytes = make_step(vocab_size)
     val = validation_set(vocab_size)
-    with parallel.one_blas_thread():
-        one_step()  # warm-up: first-touch of Adam's buffers, numpy's caches and the pool
+    with one_blas_thread():
+        one_step()  # warm-up: first-touch of Adam's buffers and numpy's caches
 
         tracemalloc.start()
         one_step()
@@ -134,18 +132,15 @@ def main(argv: list[str]) -> int:
         tracemalloc.stop()
 
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        pool = timed_steps(one_step, steps)
+        step_ms = timed_steps(one_step, steps)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    with parallel.serial():
-        one_worker = timed_steps(one_step, steps)
 
     print(f"V={vocab_size} params={param_bytes / 1e6:.1f} MB steps={steps}")
     print(f"peak {peak / 1e6:.1f} MB = {peak / param_bytes:.2f}x the parameters")
     print(f"val_peak {val_peak / 1e6:.1f} MB = {val_peak / param_bytes:.2f}x the parameters "
           f"(evaluate_lm, {len(val)} sentences)")
     print(f"minor_faults {faults / steps:.0f} per step")
-    print(f"step_ms {pool}, {parallel.workers()} workers")
-    print(f"step_ms {one_worker}, 1 worker")
+    print(f"step_ms {step_ms}")
     return 0
 
 

@@ -79,14 +79,15 @@ def align(ref: list, hyp: list) -> list[AlignmentOp]:
     prev = list(range(m + 1))
     rows = [prev]
     for i in range(1, n + 1):
-        cur = [i] + [0] * m
+        cur = [i]
         ri = ref[i - 1]
         for j in range(1, m + 1):
-            cur[j] = min(
-                prev[j - 1] + (ri != hyp[j - 1]),
-                prev[j] + 1,
-                cur[j - 1] + 1,
-            )
+            # cur[j] = min(sub, dele, ins), without min()'s call
+            sub = prev[j - 1] + (ri != hyp[j - 1])
+            dele = prev[j] + 1
+            ins = cur[j - 1] + 1
+            sub = sub if sub < dele else dele
+            cur.append(sub if sub < ins else ins)
         rows.append(cur)
         prev = cur
     ops: list[AlignmentOp] = []

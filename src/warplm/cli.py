@@ -286,10 +286,18 @@ def cmd_make_synthetic(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Prints a usage error as one `error: <message>` line on stderr and
+    exits 2, as every other failure does; -h still prints the usage."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="warplm", description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = ap.add_subparsers(dest="command", required=True)
+    ap = _Parser(prog="warplm", description=__doc__,
+                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("build-vocab", help="build a vocab file from a corpus")
     p.add_argument("corpus")

@@ -36,7 +36,7 @@ import numpy as np
 
 from .asrsim import NoiseConfig, make_noisy_slu_set, save_noisy_slu_set
 from .nnet import EncoderModel, ModelConfig
-from .nnet.parallel import _usable_cpus, serial
+from .nnet.blas import one_blas_thread
 from .pretrain import pretrain, split_validation
 from .seeding import derive_seed
 from .slu import evaluate_slu, finetune, save_slu_file
@@ -221,16 +221,23 @@ def _die_with(parent: int) -> None:
         os._exit(1)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this OS
+        return os.cpu_count() or 1
+
+
 def _run_cells(cells: list) -> list:
     """Call each zero-argument function in `cells` and return their results
     in order. With n = min(usable CPUs, len(cells)), this process runs
     cells[0::n] itself and n-1 forked children run the rest; at n == 1
-    nothing is forked. The cells run under `nnet.parallel.serial()`, which
-    pins the split pool to one worker and numpy's OpenBLAS to one thread,
-    since the processes already use every CPU; both are restored after. The
-    children inherit the pins and numpy's errstate. The first failing
-    cell in order re-raises its exception here, and cells not yet started
-    are cancelled. A child that dies raises ChildProcessError."""
+    nothing is forked. The cells run with numpy's OpenBLAS pinned to one
+    thread (`nnet.blas.one_blas_thread()`), since the processes already use
+    every CPU; the count is restored after. The children inherit the pin
+    and numpy's errstate. The first failing cell in order re-raises its
+    exception here, and cells not yet started are cancelled. A child that
+    dies raises ChildProcessError."""
     # Imported here, not at the top: they add about 10 ms to importing the package.
     import multiprocessing
     from concurrent.futures import Future
@@ -240,7 +247,7 @@ def _run_cells(cells: list) -> list:
     n = min(_usable_cpus(), len(cells))
     pool = None
     try:
-        with serial():
+        with one_blas_thread():
             _CELLS = cells
             futures = [None] * len(cells)
             if n > 1:

@@ -13,26 +13,17 @@ two scratch blocks (`work`) for g^2, the denominator and the update. It
 reads the gradient and never writes it, so the gradients a step used are
 still there after it.
 
-A step over at least 2 * parallel.MIN_WORK elements (a 30k vocabulary; a
-desk model is smaller) splits its blocks into ranges, one per usable CPU,
-on the worker pool of `parallel`: ZeRO's partitioned update, on threads.
-Every range first checks that its blocks are finite, and only if all of
-them are does any range update its blocks, so a non-finite gradient still
-changes nothing. The update is elementwise, so the bits do not depend on
-the ranges. The caller's range uses `work`, and each pool thread keeps two
-blocks of its own. Workers run only numpy calls, never a module attribute
-that a tracer may wrap.
+A step first checks, block by block, that the whole gradient is finite,
+and only then updates any block, so a non-finite gradient changes nothing.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import parallel
 from .model import flat_views
 
 BETA1 = 0.9
@@ -94,51 +85,28 @@ def step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: Ada
     if grads is not state.grads:
         np.concatenate([grads[name] for name in params], axis=None, out=g)
     t = state.t + 1
-    size = g.size
-    ranges = parallel.split(size, size, BLOCK)
-
-    def finite(lo, hi):
-        return all(np.logical_and.reduce(np.isfinite(g[a : a + BLOCK]))
-                   for a in range(lo, hi, BLOCK))
-
-    if not all(parallel.run(finite, ranges)):
+    if not all(np.logical_and.reduce(np.isfinite(g[a : a + BLOCK]))
+               for a in range(0, g.size, BLOCK)):
         bad = next(name for name in params if not np.isfinite(grads[name]).all())
         raise FloatingPointError(f"divergence: non-finite gradient in {bad} at step {t}")
     state.t = t
     c1, c2, lr = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t, state.lr
-
-    def update(lo, hi):
-        work = state.work if lo == 0 else _thread_work(g.dtype)  # range 0 runs in this thread
-        for a in range(lo, hi, BLOCK):
-            gb, m, v, p = (x[a : a + BLOCK] for x in (g, state.m, state.v, state.flat))
-            den, upd = work[:, : len(gb)]
-            # m = b1 m + (1 - b1) g
-            m *= BETA1
-            m += np.multiply(gb, 1.0 - BETA1, out=upd)
-            # v = b2 v + (1 - b2) g^2
-            v *= BETA2
-            np.multiply(gb, gb, out=den)
-            den *= 1.0 - BETA2
-            v += den
-            # p -= lr (m / c1) / (sqrt(v / c2) + eps), c = 1 - beta^t
-            np.divide(v, c2, out=den)
-            np.sqrt(den, out=den)
-            den += EPS
-            np.divide(m, c1, out=upd)
-            upd *= lr
-            upd /= den
-            p -= upd
-
-    parallel.run(update, ranges)
-
-
-_local = threading.local()
-
-
-def _thread_work(dtype) -> np.ndarray:
-    """The calling pool thread's own two blocks of scratch for `dtype`,
-    made on its first step."""
-    by_dtype = vars(_local).setdefault("work", {})
-    if dtype not in by_dtype:
-        by_dtype[dtype] = np.empty((2, BLOCK), dtype)
-    return by_dtype[dtype]
+    for a in range(0, g.size, BLOCK):
+        gb, m, v, p = (x[a : a + BLOCK] for x in (g, state.m, state.v, state.flat))
+        den, upd = state.work[:, : len(gb)]
+        # m = b1 m + (1 - b1) g
+        m *= BETA1
+        m += np.multiply(gb, 1.0 - BETA1, out=upd)
+        # v = b2 v + (1 - b2) g^2
+        v *= BETA2
+        np.multiply(gb, gb, out=den)
+        den *= 1.0 - BETA2
+        v += den
+        # p -= lr (m / c1) / (sqrt(v / c2) + eps), c = 1 - beta^t
+        np.divide(v, c2, out=den)
+        np.sqrt(den, out=den)
+        den += EPS
+        np.divide(m, c1, out=upd)
+        upd *= lr
+        upd /= den
+        p -= upd

@@ -39,22 +39,6 @@ the tied head writes its [V, D] gradient straight into the `tok_emb` entry.
 A step holds one [N_pred, V] array, freed before the encoder's backward
 pass: `lm_backward` is the head alone and returns the row gradients.
 
-The head's vocabulary-sized work splits over the worker pool of
-`parallel` (one thread per usable CPU) once an op holds 2 *
-parallel.MIN_WORK elements, which a 30k vocabulary does and a desk one
-never: `lm_logits` by vocabulary columns, each range's matmul writing a
-column slice of one [N, V] array; `_ce` by rows, each range returning its
-rows' correct flags and log-likelihoods, which are then summed once in
-row order; `lm_backward` runs d_logits @ tok_emb as a task of its own
-beside ranges of vocabulary rows of the tied [V, D] gradient and the
-matching out_bias columns. No split runs along an axis a reduction runs
-over (a max, a sum or a matmul's K), and vocabulary ranges start on
-VOCAB_UNIT-column boundaries, so each element is computed by the same ops
-in the same order, and by the same BLAS kernel, as unsplit: the bits do
-not depend on the number of workers. The tests keep the unsplit formulas
-as oracles at 1, 2 and 3 workers. Workers run only the numpy calls inside
-these functions, never a module attribute that a tracer may wrap.
-
 `freeze_ins` zeroes the gradient row of the [INS] embedding after the
 input-embedding path and the tied output projection are summed (in
 `encoder_backward`), so that row never moves during training (Adam with an
@@ -68,18 +52,10 @@ import math
 import numpy as np
 
 from ..textcore import INS_ID
-from . import parallel
 from .model import EncoderModel, flat_views
 
 LN_EPS = 1e-5
 NEG_INF = -1e9  # additive score for PAD keys; exp() underflows to exactly 0
-# Vocabulary ranges of the split head are whole multiples of this many
-# columns, the last taking the remainder. A range that starts inside one of
-# the BLAS kernel's output tiles, or a product over a few hundred columns,
-# can take another kernel path and give some columns other bits than the
-# unsplit product (seen with OpenBLAS: at odd starts, and in float64 with
-# V near 300); no vocabulary under 2 * VOCAB_UNIT splits.
-VOCAB_UNIT = 512
 # Python floats, not np.float64: NumPy promotes an array with a Python float
 # to the array's dtype, so GELU of a float32 array stays float32.
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -437,55 +413,34 @@ def encoder_backward(
 
 
 def lm_logits(model: EncoderModel, hidden: np.ndarray) -> np.ndarray:
-    """Tied output head: hidden @ tok_emb.T + out_bias -> [..., V], each
-    range of vocabulary columns written by its own matmul into one array."""
-    tok_emb, out_bias = model.params["tok_emb"], model.params["out_bias"]
-    h = hidden.reshape(-1, hidden.shape[-1])
-    V = len(tok_emb)
-    logits = np.empty((len(h), V), np.result_type(h, tok_emb))
-
-    def columns(lo, hi):
-        z = np.matmul(h, tok_emb[lo:hi].T, out=logits[:, lo:hi])
-        z += out_bias[lo:hi]
-
-    parallel.run(columns, parallel.split(V, logits.size, VOCAB_UNIT))
-    return logits.reshape(*hidden.shape[:-1], V)
+    """Tied output head: hidden @ tok_emb.T + out_bias -> [..., V]."""
+    tok_emb = model.params["tok_emb"]
+    logits = hidden.reshape(-1, hidden.shape[-1]) @ tok_emb.T
+    logits += model.params["out_bias"]
+    return logits.reshape(*hidden.shape[:-1], len(tok_emb))
 
 
 def _ce(logits, label_ids, *, out=None):
     """Mean cross-entropy and accuracy over the rows of `logits` [N, C]
     against `label_ids` [N], plus dLoss/dlogits. Returns (loss, accuracy,
     d_logits); raises if there are no rows. d_logits is computed in `out`
-    (which may be `logits` itself) or, without it, in a fresh array.
-
-    Each range of rows computes its own correct flags, log-likelihoods and
-    d_logits; the flags and log-likelihoods are then summed once, in row
-    order."""
+    (which may be `logits` itself) or, without it, in a fresh array."""
     n = len(logits)
     if n == 0:
         raise ValueError("no predictions in batch")
     label_ids = np.asarray(label_ids)
-    d = np.empty_like(logits) if out is None else out
-
-    def rows(lo, hi):
-        x, labels, at = logits[lo:hi], label_ids[lo:hi], np.arange(hi - lo)
-        # the argmax first: `out` may be `logits`, and the max shift can create ties
-        correct = x.argmax(axis=-1) == labels
-        z = np.subtract(x, np.maximum.reduce(x, axis=-1, keepdims=True), out=d[lo:hi])
-        z_label = z[at, labels]
-        np.exp(z, out=z)
-        sum_e = np.add.reduce(z, axis=-1, keepdims=True)
-        log_lik = z_label - np.log(sum_e[:, 0])
-        z /= sum_e
-        z[at, labels] -= 1.0
-        z *= 1.0 / n
-        return correct, log_lik
-
-    parts = parallel.run(rows, parallel.split(n, logits.size))
-    correct, log_lik = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-    acc = float(np.add.reduce(correct) / n)
-    loss = -float(np.add.reduce(log_lik) / n)
-    return loss, acc, d
+    rows = np.arange(n)
+    # the argmax first: `out` may be `logits`, and the max shift can create ties
+    acc = float(np.add.reduce(logits.argmax(axis=-1) == label_ids) / n)
+    z = np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True), out=out)
+    z_label = z[rows, label_ids]
+    np.exp(z, out=z)
+    sum_e = np.add.reduce(z, axis=-1, keepdims=True)
+    loss = -float(np.add.reduce(z_label - np.log(sum_e[:, 0])) / n)
+    z /= sum_e
+    z[rows, label_ids] -= 1.0
+    z *= 1.0 / n
+    return loss, acc, z
 
 
 def lm_loss(logits, label_ids, predict_mask):
@@ -518,24 +473,10 @@ def lm_backward(
     pm = np.asarray(predict_mask, dtype=bool)
     hidden = cache["hidden"]
     zero_grads(model.params, grads, keep="tok_emb")
-    h_pred = hidden[pm]
-    d_pred = np.empty_like(h_pred)
-
-    def head(lo, hi):
-        if lo < 0:
-            np.matmul(d_logits, tok_emb, out=d_pred)
-            lo = 0
-        np.matmul(d_logits[:, lo:hi].T, h_pred, out=grads["tok_emb"][lo:hi])
-        grads["out_bias"][lo:hi] += np.add.reduce(d_logits[:, lo:hi], axis=0)
-
-    # d_logits @ tok_emb packs all of tok_emb whatever rows it is given, so
-    # with k > 1 workers it is a task of its own (lo = -1) beside k - 1
-    # ranges of vocabulary rows; with one worker one task does everything.
-    V = len(tok_emb)
-    k = len(parallel.split(V, d_logits.size, VOCAB_UNIT))
-    parallel.run(head, [(-1, V)] if k == 1 else [(-1, 0)] + parallel.cut(V, k - 1, VOCAB_UNIT))
+    np.matmul(d_logits.T, hidden[pm], out=grads["tok_emb"])
+    grads["out_bias"] += np.add.reduce(d_logits, axis=0)
     d_rows = np.zeros((len(cache["rows"]), hidden.shape[-1]), hidden.dtype)
-    d_rows[pm.reshape(-1)[cache["rows"]]] = d_pred
+    d_rows[pm.reshape(-1)[cache["rows"]]] = d_logits @ tok_emb
     return d_rows
 
 

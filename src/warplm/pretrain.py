@@ -25,7 +25,7 @@ from .nnet import (
     pad_rows,
     step,
 )
-from .nnet.parallel import one_blas_thread
+from .nnet.blas import one_blas_thread
 from .seeding import derive_seed
 from .textcore import PAD_ID, Vocab
 from .warp import WarpConfig, WarpedExample, warp
@@ -136,9 +136,8 @@ def pretrain(
     warps that predict nothing raise ValueError before the first step.
 
     Training and evaluation run with numpy's OpenBLAS at one thread (the
-    old count is restored on return): the vocabulary-sized ops split over
-    the worker pool instead (nnet.parallel), and a BLAS call's bits then
-    do not depend on the BLAS thread count.
+    old count is restored on return), so the bytes do not depend on the
+    BLAS thread count (nnet.blas).
     """
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")

@@ -527,6 +527,27 @@ def test_build_vocab_has_no_case_option(tmp_path, capsys):
     assert not (tmp_path / "v.txt").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["pretrain", "--corpus", "x"],
+    ["bogus"],
+    ["corrupt", "--data", "d", "--vocab", "v", "--out", "o", "--rates", "noisy"],
+], ids=["missing-flag", "unknown-subcommand", "bad-rates-choice"])
+def test_usage_error_is_one_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["pretrain", "-h"]])
+def test_help_still_prints_the_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: warplm")
+
+
 @pytest.mark.parametrize("command", ["pretrain", "finetune"])
 def test_runconfig_records_exactly_the_settings_read(workspace, tmp_path, capsys, command):
     out = tmp_path / "x.ckpt"

@@ -323,7 +323,7 @@ def openblas():
     OpenBLAS; where it is, a lookup that finds nothing fails."""
     if "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
         pytest.skip("numpy is not built on OpenBLAS")
-    controls = warplm.nnet.parallel._openblas_thread_controls()
+    controls = warplm.nnet.blas._openblas_thread_controls()
     assert controls, "numpy's OpenBLAS thread-count functions were not found"
     get, set_ = controls[0]
     old = get()

@@ -3,7 +3,7 @@ import re
 import subprocess
 import sys
 import textwrap
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +18,7 @@ from warplm.nnet import (
     forward,
     init_adam,
     init_model,
+    lm_backward,
     lm_logits,
     lm_loss,
     lm_loss_and_grads,
@@ -31,6 +32,7 @@ from warplm.nnet import (
     step,
 )
 import warplm.nnet.encoder
+from warplm.nnet.adam import BLOCK
 from warplm.nnet.encoder import LN_EPS, _gelu, _gelu_grad, _layer_norm, _ce
 from warplm.textcore import INS_ID
 
@@ -1263,3 +1265,165 @@ def test_softmax_over_padded_keys_matches_its_reference_bits(T, dtype):
     for axis in (-1, 2):
         assert_same_bits(_max_keepdims(s, axis), np.maximum.reduce(s, axis=axis, keepdims=True))
     assert_same_bits(softmax(s, axis=-1), ref_softmax(s, axis=-1))
+
+
+# ------------------------- the LM head and blocked Adam against their formulas
+
+# fewer columns than the 37-row batch; odd, and not a multiple of any BLAS
+# tile; the benchmark's 30k
+HEAD_VS = [7, 4001, 30000]
+HEAD_CFG = ModelConfig(vocab_size=HEAD_VS[1], d_model=64, n_layers=1, n_heads=2, d_ff=32,
+                       max_len=8, dropout=0.0)
+
+
+def ref_lm_logits(model, hidden):
+    logits = hidden @ model.params["tok_emb"].T
+    logits += model.params["out_bias"]
+    return logits
+
+
+def ref_ce(logits, label_ids, *, out=None):
+    n = len(logits)
+    rows = np.arange(n)
+    acc = float(np.add.reduce(logits.argmax(axis=-1) == label_ids) / n)
+    z = np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True), out=out)
+    z_label = z[rows, label_ids]
+    d = np.exp(z, out=z)
+    sum_e = np.add.reduce(d, axis=-1, keepdims=True)
+    loss = -float(np.add.reduce(z_label - np.log(sum_e[:, 0])) / n)
+    d /= sum_e
+    d[rows, label_ids] -= 1.0
+    d *= 1.0 / n
+    return loss, acc, d
+
+
+def ref_lm_backward(model, cache, d_logits, pm):
+    """The tied head: (grads, zero but tok_emb and out_bias, and
+    dLoss/d(hidden) at the real rows)."""
+    P = model.params
+    hidden = cache["hidden"]
+    grads = warplm.nnet.encoder.zero_grads(P)
+    d_hidden = np.zeros(hidden.shape, hidden.dtype)
+    d_hidden[pm] = d_logits @ P["tok_emb"]
+    np.matmul(d_logits.T, hidden[pm], out=grads["tok_emb"])
+    grads["out_bias"] += np.add.reduce(d_logits, axis=0)
+    return grads, d_hidden.reshape(-1, hidden.shape[-1])[cache["rows"]]
+
+
+def ref_adam_step(state):
+    """One step of blocked Adam on `state` (its own gradient buffer)."""
+    from warplm.nnet.adam import BETA1, BETA2, EPS
+    g = state.grad
+    state.t += 1
+    t = state.t
+    c1, c2, lr = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t, state.lr
+    for lo in range(0, g.size, BLOCK):
+        gb, m, v, p = (a[lo : lo + BLOCK] for a in (g, state.m, state.v, state.flat))
+        den, upd = state.work[:, : len(gb)]
+        m *= BETA1
+        m += np.multiply(gb, 1.0 - BETA1, out=upd)
+        v *= BETA2
+        np.multiply(gb, gb, out=den)
+        den *= 1.0 - BETA2
+        v += den
+        np.divide(v, c2, out=den)
+        np.sqrt(den, out=den)
+        den += EPS
+        np.divide(m, c1, out=upd)
+        upd *= lr
+        upd /= den
+        p -= upd
+
+
+def head_model(dtype, V):
+    model = init_model(replace(HEAD_CFG, vocab_size=V), seed=2).astype(dtype)
+    model.params["out_bias"][...] = np.random.default_rng(3).normal(0.0, 0.5, V)
+    return model
+
+
+def head_batch(n_pred, V):
+    """(ids, pad, labels, pm): 3 ragged rows of ids across the vocabulary,
+    n_pred of their real positions predicted."""
+    rng = np.random.default_rng(n_pred)
+    pad = np.arange(6) < np.array([6, 2, 4])[:, None]
+    ids = np.where(pad, rng.integers(5, V, size=pad.shape), 0)
+    labels = rng.integers(5, V, size=pad.shape)
+    pm = np.zeros_like(pad)
+    pm.reshape(-1)[rng.choice(np.flatnonzero(pad), n_pred, replace=False)] = True
+    return ids, pad, labels, pm
+
+
+def blocked_state(dtype, size):
+    """Adam over `size` elements in three parameters, with drawn gradients
+    and moments away from zero."""
+    rng = np.random.default_rng(12)
+    shapes = {"w": (2, size // 4), "b": (7,), "u": (size - 2 * (size // 4) - 7,)}
+    params = {k: rng.normal(0.0, 0.5, s).astype(dtype) for k, s in shapes.items()}
+    st = init_adam(params, lr=2e-3)
+    assert st.flat.size == size
+    st.grad[...] = rng.normal(0.0, 0.1, st.grad.size)
+    ref_adam_step(st)
+    return params, st
+
+
+def state_bytes(st):
+    return [st.flat.tobytes(), st.m.tobytes(), st.v.tobytes(), st.t]
+
+
+@pytest.mark.parametrize("V", HEAD_VS)
+@pytest.mark.parametrize("n_rows", [1, 2, 37])
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_head_matches_the_plain_formulas_bit_for_bit(dtype, n_rows, V):
+    model = head_model(dtype, V)
+    rng = np.random.default_rng(n_rows)
+    hidden = rng.normal(size=(n_rows, HEAD_CFG.d_model)).astype(dtype)
+    logits = lm_logits(model, hidden)
+    want = ref_lm_logits(model, hidden)
+    assert logits.tobytes() == want.tobytes()
+    assert lm_logits(model, hidden[None]).tobytes() == want.tobytes()  # [1, N, D] input
+
+    labels = rng.integers(0, V, size=n_rows)
+    labels[0] = np.argmax(want[0])  # one row scored right
+    copied = _ce(logits, labels)
+    assert logits.tobytes() == want.tobytes()
+    in_place = _ce(logits, labels, out=logits)
+    ref = ref_ce(want, labels, out=want)
+    assert in_place[2] is logits
+    for got in (copied, in_place):
+        assert got[:2] == ref[:2]
+        assert got[2].tobytes() == ref[2].tobytes()
+
+
+@pytest.mark.parametrize("V", HEAD_VS)
+@pytest.mark.parametrize("n_pred", [1, 2, 9])
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_lm_backward_matches_the_plain_head_bit_for_bit(dtype, n_pred, V):
+    model = head_model(dtype, V)
+    ids, pad, labels, pm = head_batch(n_pred, V)
+    hidden, cache = forward(model, ids, pad)
+    _, _, d_logits = ref_ce(ref_lm_logits(model, hidden[pm]), labels[pm])
+    want, want_rows = ref_lm_backward(model, cache, d_logits, pm)
+    handed = warplm.nnet.encoder.zero_grads(model.params)
+    for g in handed.values():
+        g[...] = np.nan  # stale contents must not leak into any gradient
+    d_rows = lm_backward(model, cache, d_logits, pm, grads=handed)
+    assert d_rows.tobytes() == want_rows.tobytes()
+    for name in model.params:
+        assert handed[name].tobytes() == want[name].tobytes(), name
+
+
+# part of one block, one whole block, one element past it, two whole blocks,
+# and four blocks with the last one ragged
+@pytest.mark.parametrize("size", [1000, BLOCK, BLOCK + 1, 2 * BLOCK, 3 * BLOCK + 1013])
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_adam_matches_the_blocked_formula_bit_for_bit(dtype, size):
+    params, st = blocked_state(dtype, size)
+    _, ref = blocked_state(dtype, size)
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        st.grad[...] = ref.grad[...] = rng.normal(0.0, 0.1, st.grad.size)
+        step(params, st.grads, st)
+        ref_adam_step(ref)
+        assert state_bytes(st) == state_bytes(ref)
+        assert st.grad.tobytes() == ref.grad.tobytes()
+    assert st.work.shape == (2, min(BLOCK, size))

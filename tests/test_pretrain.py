@@ -1,13 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import warplm.experiment
 from warplm.nnet import ModelConfig, init_model
+from warplm.nnet.blas import _openblas_thread_controls
 from warplm.pretrain import EpochStats, evaluate_lm, pad_batch, pretrain, validation_warps
 from warplm.synth import synth_corpus_text, synth_vocab
-from warplm.textcore import INS_ID, PAD_ID, corpus_from_text
+from warplm.textcore import INS_ID, PAD_ID, SPECIAL_TOKENS, Vocab, corpus_from_text
 from warplm.warp import WarpConfig, WarpedExample, WarpPlan
 
 VOCAB = synth_vocab()
@@ -111,7 +117,7 @@ def test_evaluate_lm_allocates_under_twice_the_parameters_at_a_30k_vocab():
         ids = rng.integers(INS_ID + 1, V, size=n).tolist()
         pm = (rng.random(n) < 0.15).tolist()
         examples.append(WarpedExample(ids, ids, pm, ids, WarpPlan(int(n), {})))
-    evaluate_lm(model, examples, batch_size=32)  # warm-up: numpy's caches and the pool
+    evaluate_lm(model, examples, batch_size=32)  # warm-up: numpy's caches
     tracemalloc.start()
     try:
         evaluate_lm(model, examples, batch_size=32)
@@ -126,3 +132,54 @@ def test_epoch_stats_json_shape():
     js = asdict(row)
     assert set(js) == {"epoch", "train_loss", "val_perplexity", "val_accuracy"}
     json.dumps(js)
+
+
+def filler_vocab(size):
+    return Vocab(list(SPECIAL_TOKENS) + [f"w{i}" for i in range(size - len(SPECIAL_TOKENS))])
+
+
+def test_a_30k_vocabulary_pretrain_writes_the_same_bytes_at_any_blas_thread_count():
+    controls = _openblas_thread_controls()
+    if not controls:
+        pytest.skip("numpy's OpenBLAS thread-count functions were not found")
+    get, set_ = controls[0]
+    vocab = filler_vocab(30000)
+    rng = np.random.default_rng(0)
+    sents = [[int(i) for i in rng.integers(5, len(vocab), size=rng.integers(5, 15))]
+             for _ in range(40)]
+    old = get()
+    runs = []
+    try:
+        for threads in (1, 2):
+            set_(threads)
+            model, history = pretrain(sents[8:], sents[:8], vocab, ModelConfig.desk(len(vocab)),
+                                      WarpConfig("wlm"), epochs=1, seed=3)
+            assert get() == threads
+            runs.append(([p.tobytes() for p in model.params.values()],
+                         [asdict(row) for row in history]))
+    finally:
+        set_(old)
+    assert runs[0] == runs[1]
+
+
+def test_importing_the_cli_and_a_desk_pretrain_start_no_thread(tmp_path):
+    script = """
+import sys, threading
+import warplm.cli
+assert "concurrent.futures" not in sys.modules, "imported at package import"
+assert threading.active_count() == 1
+from warplm.nnet import ModelConfig
+from warplm.pretrain import pretrain
+from warplm.synth import synth_corpus_text, synth_vocab
+from warplm.textcore import corpus_from_text
+from warplm.warp import WarpConfig
+vocab = synth_vocab()
+sents = corpus_from_text(synth_corpus_text(80, seed=1), vocab).sentences
+pretrain(sents[8:], sents[:8], vocab, ModelConfig.desk(len(vocab)), WarpConfig("wlm"), epochs=1)
+assert threading.active_count() == 1, threading.enumerate()
+assert "concurrent.futures" not in sys.modules
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(warplm.experiment.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
