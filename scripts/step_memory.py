@@ -92,7 +92,7 @@ def make_step(vocab_size: int):
         del logits, d_logits
         encoder_backward(model, cache, d_rows, grads=adam.grads)
         t.append(time.perf_counter())
-        step(model.params, adam.grads, adam)
+        step(adam)
         t.append(time.perf_counter())
         return np.diff(t)
 

@@ -139,6 +139,14 @@ def _note_truncated(path, utts, what: str, max_len: int) -> None:
               f"to {max_len - 1} tokens (max_len {max_len} with [CLS])")
 
 
+def _note_long_sentences(path, sentences, max_len: int) -> None:
+    """Say how many sentences are longer than pretraining reads, if any."""
+    n = sum(len(s) > max_len for s in sentences)
+    if n:
+        print(f"note: {path}: {n} of {len(sentences)} sentences are longer than "
+              f"max_len {max_len}; pretraining reads at most {max_len} tokens of each warp")
+
+
 # ------------------------------------------------------------ subcommands
 
 def cmd_build_vocab(args) -> int:
@@ -169,6 +177,9 @@ def cmd_pretrain(args) -> int:
         vocab_size=len(vocab), d_model=rc.d_model, n_layers=rc.n_layers,
         n_heads=rc.n_heads, d_ff=rc.d_ff, max_len=rc.max_len, dropout=rc.dropout,
     )
+    _note_long_sentences(args.corpus, corpus.sentences, rc.max_len)
+    if args.val_corpus:
+        _note_long_sentences(args.val_corpus, val_sents, rc.max_len)
 
     def log_row(row):
         print(f"epoch {row.epoch}: train_loss={row.train_loss:.4f} "
@@ -255,7 +266,7 @@ def cmd_evaluate(args) -> int:
     vocab = textcore.load_vocab(args.vocab)
     model, _ = slu.load_slu(args.checkpoint, expect_vocab_hash=vocab.content_hash)
     utts = _load_slu_set(args.data, vocab, "evaluation set")
-    _note_truncated(args.data, utts, "evaluation set", model.encoder.config.max_len)
+    _note_truncated(args.data, utts, "evaluation set", model.config.max_len)
     m = slu.evaluate_slu(model, utts)
     if args.out:
         textcore.write_json(args.out, dataclasses.asdict(m))

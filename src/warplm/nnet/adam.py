@@ -4,7 +4,8 @@
 ZeRO keeps its optimizer state in, Rajbhandari et al. 2020) and points the
 dict's entries at views of it. The gradients share that layout: `grads`
 views `AdamState.grad`, and a training step hands it to the backward pass,
-which writes its gradients there, so a step copies no gradient.
+which writes its gradients there; `step` reads them there and nowhere else,
+so a step copies no gradient.
 
 Three buffers of the parameter size sit beside the parameters: the moments
 `m`, `v` and the gradient `grad`. A step streams them once, in blocks of
@@ -72,22 +73,20 @@ def init_adam(params: dict[str, np.ndarray], lr: float = 1e-3) -> AdamState:
     return state
 
 
-def step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState) -> None:
-    """One in-place Adam update of `params`, the dict `init_adam` packed.
+def step(state: AdamState) -> None:
+    """One in-place Adam update of the parameters `init_adam` packed, from
+    the gradients the caller wrote into `state.grads`.
 
-    `grads` is copied into `state.grad` unless it is `state.grads` itself.
     A non-finite gradient raises FloatingPointError naming the first such
     parameter in dict order, before any parameter, moment or the step count
     changes. A parameter whose gradient is exactly zero (all moments zero)
     is left bit-identical: m_hat = 0 makes the update exactly 0.0.
     """
     g = state.grad
-    if grads is not state.grads:
-        np.concatenate([grads[name] for name in params], axis=None, out=g)
     t = state.t + 1
     if not all(np.logical_and.reduce(np.isfinite(g[a : a + BLOCK]))
                for a in range(0, g.size, BLOCK)):
-        bad = next(name for name in params if not np.isfinite(grads[name]).all())
+        bad = next(name for name, gp in state.grads.items() if not np.isfinite(gp).all())
         raise FloatingPointError(f"divergence: non-finite gradient in {bad} at step {t}")
     state.t = t
     c1, c2, lr = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t, state.lr

@@ -124,32 +124,32 @@ def load_model_checkpoint(path, kinds: tuple[str, ...], expect_vocab_hash: str |
     names and shapes are exactly param_shapes(config), plus for "slu" the
     heads implied by the label counts. Raises ValueError naming the path."""
     header, params = load_checkpoint(path)
-    kind = header.get("kind") if isinstance(header, dict) else None
-    if kind not in kinds:
-        raise ValueError(f"{path}: checkpoint kind {kind!r}, expected {' or '.join(kinds)}")
-    bad = [k for k, t in HEADER_KEYS[kind].items() if not isinstance(header.get(k), t)]
-    if bad:
-        raise ValueError(f"{path}: checkpoint header lacks a valid {', '.join(bad)}")
-    if expect_vocab_hash is not None and header["vocab_hash"] != expect_vocab_hash:
-        raise ValueError(
-            f"{path}: vocab hash mismatch (checkpoint {header['vocab_hash'][:12]}..., "
-            f"current vocab {expect_vocab_hash[:12]}...)"
-        )
-    try:
-        config = ModelConfig(**header["config"])
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"{path}: bad model config: {e}") from None
-    expected = param_shapes(config)
-    if kind == "slu":
-        heads = head_shapes(config.d_model, len(header["intent_labels"]),
-                            len(header["tag_labels"]))
-        expected.update({"head." + k: s for k, s in heads.items()})
-    for name in sorted(expected.keys() | params.keys()):
-        got, want = (params[name].shape if name in params else None), expected.get(name)
-        if got != want:
-            what = "is missing" if got is None else f"has shape {got}"
-            raise ValueError(f"{path}: tensor {name} {what}, config needs "
-                             f"{'no such tensor' if want is None else want}")
+    with naming(path):
+        kind = header.get("kind") if isinstance(header, dict) else None
+        if kind not in kinds:
+            raise ValueError(f"checkpoint kind {kind!r}, expected {' or '.join(kinds)}")
+        bad = [k for k, t in HEADER_KEYS[kind].items() if not isinstance(header.get(k), t)]
+        if bad:
+            raise ValueError(f"checkpoint header lacks a valid {', '.join(bad)}")
+        if expect_vocab_hash is not None and header["vocab_hash"] != expect_vocab_hash:
+            raise ValueError(
+                f"vocab hash mismatch (checkpoint {header['vocab_hash'][:12]}..., "
+                f"current vocab {expect_vocab_hash[:12]}...)"
+            )
+        try:
+            config = ModelConfig(**header["config"])
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"bad model config: {e}") from None
+        expected = param_shapes(config)
+        if kind == "slu":
+            expected.update(head_shapes(config.d_model, len(header["intent_labels"]),
+                                        len(header["tag_labels"])))
+        for name in sorted(expected.keys() | params.keys()):
+            got, want = (params[name].shape if name in params else None), expected.get(name)
+            if got != want:
+                what = "is missing" if got is None else f"has shape {got}"
+                raise ValueError(f"tensor {name} {what}, config needs "
+                                 f"{'no such tensor' if want is None else want}")
     return header, config, params
 
 

@@ -9,7 +9,7 @@ entries at views of one flat buffer (`flat_views`, `adam.init_adam`).
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -91,12 +91,13 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 def head_shapes(d_model: int, n_intents: int, n_tags: int) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of the SLU intent and slot heads (stored as "head.<name>")."""
+    """Name -> shape of the SLU intent and slot heads, under the names an
+    SLU model's parameters and checkpoint hold them by."""
     return {
-        "intent_w": (d_model, n_intents),
-        "intent_b": (n_intents,),
-        "slot_w": (d_model, n_tags),
-        "slot_b": (n_tags,),
+        "head.intent_w": (d_model, n_intents),
+        "head.intent_b": (n_intents,),
+        "head.slot_w": (d_model, n_tags),
+        "head.slot_b": (n_tags,),
     }
 
 
@@ -121,12 +122,10 @@ class EncoderModel:
     params: dict[str, np.ndarray] = field(repr=False)
 
     def copy(self) -> "EncoderModel":
-        return EncoderModel(self.config, {k: v.copy() for k, v in self.params.items()})
+        return replace(self, params={k: v.copy() for k, v in self.params.items()})
 
     def astype(self, dtype) -> "EncoderModel":
-        return EncoderModel(
-            self.config, {k: v.astype(dtype) for k, v in self.params.items()}
-        )
+        return replace(self, params={k: v.astype(dtype) for k, v in self.params.items()})
 
 
 def init_params(shapes: dict[str, tuple], rng: np.random.Generator) -> dict[str, np.ndarray]:

@@ -168,12 +168,12 @@ def pretrain(
                 ids, pad_mask, labels, pm = pad_batch(chunk, model_cfg.max_len)
                 if not pm.any():
                     continue
-                loss, _, n_pred, grads = lm_loss_and_grads(
+                loss, _, n_pred, _ = lm_loss_and_grads(
                     model, ids, pad_mask, labels, pm, dropout_rng=drop_rng, grads=adam.grads
                 )
                 if not math.isfinite(loss):
                     raise FloatingPointError(f"divergence: loss {loss} at epoch {epoch}")
-                step(model.params, grads, adam)
+                step(adam)
                 nll_sum += loss * n_pred
                 n_pred_sum += n_pred
             val_ppl, val_acc = evaluate_lm(model, val_examples, batch_size)

@@ -15,7 +15,7 @@ line):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -152,27 +152,16 @@ def load_slu_file(path, vocab: Vocab) -> list[TaggedUtterance]:
 # ------------------------------------------------------------------ model
 
 @dataclass
-class SLUModel:
-    encoder: EncoderModel
+class SLUModel(EncoderModel):
+    """An encoder whose `params` also hold the intent and slot heads, under
+    the names `head_shapes` gives, and the labels those heads score."""
+
     intent_labels: list[str]
     tag_labels: list[str]
-    head: dict[str, np.ndarray] = field(repr=False)
 
     def __post_init__(self):
         self.intent_to_id = {s: i for i, s in enumerate(self.intent_labels)}
         self.tag_to_id = {s: i for i, s in enumerate(self.tag_labels)}
-
-    def all_params(self) -> dict[str, np.ndarray]:
-        merged = dict(self.encoder.params)
-        merged.update({"head." + k: v for k, v in self.head.items()})
-        return merged
-
-
-def _split_params(merged: dict[str, np.ndarray]):
-    """The inverse of `SLUModel.all_params`: (encoder params, head params)."""
-    encoder = {k: v for k, v in merged.items() if not k.startswith("head.")}
-    head = {k[5:]: v for k, v in merged.items() if k.startswith("head.")}
-    return encoder, head
 
 
 def label_inventory(utts: list[TaggedUtterance]) -> tuple[list[str], list[str]]:
@@ -186,7 +175,8 @@ def init_slu_model(
 ) -> SLUModel:
     rng = np.random.default_rng(derive_seed(seed, _SEED_HEAD_INIT))
     shapes = head_shapes(encoder.config.d_model, len(intent_labels), len(tag_labels))
-    return SLUModel(encoder, list(intent_labels), list(tag_labels), init_params(shapes, rng))
+    return SLUModel(encoder.config, {**encoder.params, **init_params(shapes, rng)},
+                    list(intent_labels), list(tag_labels))
 
 
 def _input_rows(utts: list[TaggedUtterance]) -> list[list[int]]:
@@ -205,7 +195,7 @@ def encode_slu_batch(model: SLUModel, utts: list[TaggedUtterance]):
 
     Position 0 is CLS; tag ids are -1 at CLS and padding. Tags or intents
     absent from the model inventory get id -1 (excluded from the loss)."""
-    max_len = model.encoder.config.max_len
+    max_len = model.config.max_len
     ids, pad_mask = pad_rows(_input_rows(utts), max_len, PAD_ID)
     tag_ids, _ = pad_rows([[-1] + [model.tag_to_id.get(t, -1) for t in u.tags]
                            for u in utts], max_len, -1)
@@ -220,26 +210,26 @@ def _heads(model: SLUModel, ids, pad_mask, rows, dropout_rng=None):
 
     -> (h_cls [B,D], h_rows [R,D], intent_logits [B,I], slot_logits [R,S],
     encoder cache)."""
-    hidden, cache = forward(model.encoder, ids, pad_mask, dropout_rng)
+    hidden, cache = forward(model, ids, pad_mask, dropout_rng)
     h_cls, h_rows = hidden[:, 0], hidden[rows]
-    H = model.head
-    intent_logits = h_cls @ H["intent_w"] + H["intent_b"]
-    slot_logits = h_rows @ H["slot_w"] + H["slot_b"]
+    P = model.params
+    intent_logits = h_cls @ P["head.intent_w"] + P["head.intent_b"]
+    slot_logits = h_rows @ P["head.slot_w"] + P["head.slot_b"]
     return h_cls, h_rows, intent_logits, slot_logits, cache
 
 
 def _trainable(model: SLUModel, freeze_encoder: bool) -> dict[str, np.ndarray]:
-    """The parameters `finetune` trains, under their merged names."""
+    """The parameters `finetune` trains: the heads alone, or all of them."""
     if freeze_encoder:
-        return {"head." + k: v for k, v in model.head.items()}
-    return model.all_params()
+        return {k: v for k, v in model.params.items() if k.startswith("head.")}
+    return model.params
 
 
 def slu_loss_and_grads(model: SLUModel, utts, dropout_rng=None, freeze_encoder=False, *,
                        grads=None):
-    """Joint loss and gradients over the trained params (merged names: the
-    head's, and the encoder's unless it is frozen), written into `grads`
-    (default: a fresh buffer) and returned with the loss.
+    """Joint loss and gradients over the trained params (the heads', and the
+    encoder's unless it is frozen), written into `grads` (default: a fresh
+    buffer) and returned with the loss.
 
     Each head scores only its rows: the intent head the CLS position, the
     slot head the positions whose tag is in the model's inventory."""
@@ -250,7 +240,7 @@ def slu_loss_and_grads(model: SLUModel, utts, dropout_rng=None, freeze_encoder=F
     h_cls, h_tag, intent_logits, slot_logits, cache = _heads(
         model, ids, pad_mask, tag_mask, dropout_rng
     )
-    H = model.head
+    P = model.params
     i_loss, _, d_int = _ce(intent_logits, intent_ids, out=intent_logits)
     s_loss, _, d_slot = _ce(slot_logits, tag_ids[tag_mask], out=slot_logits)
     loss = i_loss + s_loss
@@ -262,9 +252,9 @@ def slu_loss_and_grads(model: SLUModel, utts, dropout_rng=None, freeze_encoder=F
     np.add.reduce(d_slot, axis=0, out=grads["head.slot_b"])
     if not freeze_encoder:
         d_rows = np.zeros((len(cache["rows"]), h_cls.shape[1]), h_cls.dtype)
-        d_rows[tag_mask[pad_mask]] = d_slot @ H["slot_w"].T
-        d_rows[cache["rows"] % ids.shape[1] == 0] += d_int @ H["intent_w"].T  # the CLS rows
-        encoder_backward(model.encoder, cache, d_rows, freeze_ins=True, grads=grads)
+        d_rows[tag_mask[pad_mask]] = d_slot @ P["head.slot_w"].T
+        d_rows[cache["rows"] % ids.shape[1] == 0] += d_int @ P["head.intent_w"].T  # the CLS rows
+        encoder_backward(model, cache, d_rows, freeze_ins=True, grads=grads)
     return float(loss), grads
 
 
@@ -403,9 +393,7 @@ def finetune(
     model = init_slu_model(encoder.copy(), intents, tags, seed)
     trainable = _trainable(model, freeze_encoder)
     adam = init_adam(trainable, lr=lr)
-    encoder_views, head_views = _split_params(trainable)
-    model.encoder.params.update(encoder_views)
-    model.head.update(head_views)
+    model.params.update(trainable)  # the views, where `trainable` is the heads alone
     history: list[FinetuneEpoch] = []
     for epoch in range(1, epochs + 1):
         order = np.random.default_rng(
@@ -415,13 +403,13 @@ def finetune(
         loss_sum, n_batches = 0.0, 0
         for lo in range(0, len(order), batch_size):
             chunk = [train_utts[j] for j in order[lo : lo + batch_size]]
-            loss, grads = slu_loss_and_grads(
+            loss, _ = slu_loss_and_grads(
                 model, chunk, dropout_rng=drop_rng, freeze_encoder=freeze_encoder,
                 grads=adam.grads,
             )
             if not math.isfinite(loss):
                 raise FloatingPointError(f"divergence: loss {loss} at epoch {epoch}")
-            step(trainable, grads, adam)
+            step(adam)
             loss_sum += loss
             n_batches += 1
         m = evaluate_slu(model, val_utts)
@@ -441,7 +429,7 @@ def finetune(
 # ------------------------------------------------------ SLU checkpointing
 
 def save_slu(path, model: SLUModel, vocab_hash: str) -> None:
-    save_model(path, "slu", model.encoder.config, vocab_hash, model.all_params(),
+    save_model(path, "slu", model.config, vocab_hash, model.params,
                intent_labels=model.intent_labels, tag_labels=model.tag_labels)
 
 
@@ -449,13 +437,11 @@ def load_slu(path, expect_vocab_hash: str | None = None) -> tuple[SLUModel, dict
     """-> (SLUModel, header). Each label list must be non-empty and
     distinct, of intent strings and of IOB2 tags."""
     header, config, params = load_model_checkpoint(path, ("slu",), expect_vocab_hash)
-    for key, what, ok in (("intent_labels", "strings", lambda s: isinstance(s, str)),
-                          ("tag_labels", "IOB2 tags",
-                           lambda s: isinstance(s, str) and _is_iob_tag(s))):
-        labels = header[key]
-        if not labels or not all(map(ok, labels)) or len(set(labels)) < len(labels):
-            raise ValueError(f"{path}: checkpoint {key} must be non-empty distinct {what}")
-    enc_params, head = _split_params(params)
-    encoder = EncoderModel(config, enc_params)
-    model = SLUModel(encoder, header["intent_labels"], header["tag_labels"], head)
-    return model, header
+    with naming(path):
+        for key, what, ok in (("intent_labels", "strings", lambda s: isinstance(s, str)),
+                              ("tag_labels", "IOB2 tags",
+                               lambda s: isinstance(s, str) and _is_iob_tag(s))):
+            labels = header[key]
+            if not labels or not all(map(ok, labels)) or len(set(labels)) < len(labels):
+                raise ValueError(f"checkpoint {key} must be non-empty distinct {what}")
+    return SLUModel(config, params, header["intent_labels"], header["tag_labels"]), header

@@ -176,8 +176,8 @@ def test_04_frozen_ins_embedding_after_500_steps():
         ids, pad, labels, pred = pad_batch(exs, cfg.max_len)
         if not pred.any():
             continue
-        loss, _, _, grads = lm_loss_and_grads(model, ids, pad, labels, pred)
-        step(model.params, grads, adam)
+        loss, _, _, _ = lm_loss_and_grads(model, ids, pad, labels, pred, grads=adam.grads)
+        step(adam)
         if first_loss is None:
             first_loss = loss
         last_loss = loss

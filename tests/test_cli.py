@@ -838,6 +838,30 @@ def test_cut_utterances_are_noted_only_when_cut(workspace, tmp_path, capsys):
     assert "note:" not in out
 
 
+def test_long_sentences_are_noted_once_per_corpus_file(workspace, tmp_path, capsys):
+    data = workspace / "data"
+    vocab = load_vocab(data / "vocab.txt")
+    short = [line for line in (data / "corpus.txt").read_text().splitlines()
+             if len(vocab.encode(line)) <= 8]
+    long_file, short_file = tmp_path / "long.txt", tmp_path / "short.txt"
+    long_file.write_text("\n".join(short[:60] + [short[0] + " " + short[1]]) + "\n")
+    short_file.write_text("\n".join(short[60:100]) + "\n")
+
+    def notes(corpus, *val):
+        code, out, err = run(capsys, "pretrain", "--corpus", str(corpus),
+                             "--vocab", str(data / "vocab.txt"), "--out", str(tmp_path / "x.ckpt"),
+                             "--epochs", "1", "--max-len", "8", *val)
+        assert code == 0, err
+        return [line for line in out.splitlines() if line.startswith("note:")]
+
+    note = (f"note: {long_file}: 1 of 61 sentences are longer than max_len 8; "
+            "pretraining reads at most 8 tokens of each warp")
+    assert notes(long_file) == [note]
+    assert notes(long_file, "--val-corpus", str(short_file)) == [note]
+    assert notes(short_file, "--val-corpus", str(long_file)) == [note]
+    assert notes(short_file, "--val-corpus", str(short_file)) == []
+
+
 def raw_checkpoint(header: bytes, name: bytes = b"w") -> bytes:
     """Checkpoint bytes with the given header bytes and one 0-d tensor `name`."""
     return (CHECKPOINT_MAGIC + struct.pack("<II", 1, len(header)) + header

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import subprocess
 import sys
@@ -676,17 +677,24 @@ def test_pad_ids_change_no_bit_of_hidden_or_any_gradient(dropout):
 
 # -------------------------------------------------------------------- adam
 
+def set_grads(state, grads):
+    """Write the dict `grads` into Adam's gradient buffer, by name."""
+    for name, g in grads.items():
+        state.grads[name][...] = g
+
+
 def test_adam_single_step_hand_arithmetic():
     # th=1, g=0.1, lr=0.1: m_hat=0.1, v_hat=0.01
     # update = 0.1 * 0.1 / (0.1 + 1e-8); th' = 1 - 0.0099999990...
     params = {"w": np.array([1.0])}
     st = init_adam(params, lr=0.1)
-    step(params, {"w": np.array([0.1])}, st)
+    set_grads(st, {"w": np.array([0.1])})
+    step(st)
     assert abs(params["w"][0] - 0.9000000100) < 1e-9
     assert st.t == 1
     # second step, same gradient: m=0.019, v=1.999e-5
     # m_hat = 0.019/0.19 = 0.1; v_hat = 1.999e-5/1.999e-3 = 0.01 -> same update
-    step(params, {"w": np.array([0.1])}, st)
+    step(st)
     assert abs(params["w"][0] - 0.8000000200) < 1e-9
 
 
@@ -696,7 +704,8 @@ def test_adam_zero_gradient_is_bit_identical():
     before = {k: v.copy() for k, v in model.params.items()}
     zeros = {k: np.zeros_like(v) for k, v in model.params.items()}
     for _ in range(3):
-        step(model.params, zeros, st)
+        set_grads(st, zeros)
+        step(st)
     for k in before:
         assert np.array_equal(
             before[k].view(np.uint32), model.params[k].view(np.uint32)
@@ -706,10 +715,13 @@ def test_adam_zero_gradient_is_bit_identical():
 def test_adam_rejects_nonfinite_gradient():
     params = {"w": np.array([1.0])}
     st = init_adam(params)
+    set_grads(st, {"w": np.array([np.nan])})
     with pytest.raises(FloatingPointError, match="divergence"):
-        step(params, {"w": np.array([np.nan])}, st)
+        step(st)
+    st = init_adam(params)
+    set_grads(st, {"w": np.array([np.inf])})
     with pytest.raises(FloatingPointError, match="divergence"):
-        step(params, {"w": np.array([np.inf])}, init_adam(params))
+        step(st)
 
 
 def per_parameter_adam_step(params, grads, m, v, t, lr):
@@ -739,7 +751,8 @@ def test_flat_adam_matches_the_per_parameter_loop_bit_for_bit(dtype):
     for t in range(1, 6):
         grads = {k: rng.normal(0.0, 0.1, p.shape).astype(dtype) for k, p in ref.items()}
         grads["tok_emb"][INS_ID] = 0.0
-        step(model.params, grads, st)
+        set_grads(st, grads)
+        step(st)
         per_parameter_adam_step(ref, grads, m, v, t, 3e-3)
         assert st.t == t
         for k in ref:
@@ -773,18 +786,21 @@ def test_nonfinite_gradient_changes_no_parameter_or_moment(bad_value):
     rng = np.random.default_rng(0)
     good = {k: rng.normal(0.0, 0.1, p.shape).astype(np.float32)
             for k, p in model.params.items()}
-    step(model.params, good, st)  # moments away from zero
+    set_grads(st, good)
+    step(st)  # moments away from zero
     names = list(model.params)
     first, later = names[5], names[-3]
     bad = {k: good[k].copy() for k in reversed(names)}  # not the params' order
     bad[first].reshape(-1)[1] = bad_value
     bad[later].reshape(-1)[0] = np.nan
     before = [st.flat.tobytes(), st.m.tobytes(), st.v.tobytes(), st.t]
+    set_grads(st, bad)
     with pytest.raises(FloatingPointError) as e:
-        step(model.params, bad, st)
+        step(st)
     assert str(e.value) == f"divergence: non-finite gradient in {first} at step 2"
     assert [st.flat.tobytes(), st.m.tobytes(), st.v.tobytes(), st.t] == before
-    step(model.params, good, st)  # the state is still usable
+    set_grads(st, good)
+    step(st)  # the state is still usable
     assert st.t == 2
 
 
@@ -1044,9 +1060,8 @@ def blocked_params(dtype):
     return params
 
 
-@pytest.mark.parametrize("in_place", [True, False], ids=["adam-grads", "own-dict"])
 @pytest.mark.parametrize("dtype", DTYPES)
-def test_blocked_adam_matches_the_per_parameter_loop_bit_for_bit(dtype, in_place):
+def test_blocked_adam_matches_the_per_parameter_loop_bit_for_bit(dtype):
     params = blocked_params(dtype)
     ref = {k: p.copy() for k, p in params.items()}
     m = {k: np.zeros_like(p) for k, p in ref.items()}
@@ -1055,18 +1070,13 @@ def test_blocked_adam_matches_the_per_parameter_loop_bit_for_bit(dtype, in_place
     rng = np.random.default_rng(5)
     for t in range(1, 6):
         drawn = {k: rng.normal(0.0, 0.1, p.shape).astype(dtype) for k, p in ref.items()}
-        if in_place:
-            for k, g in drawn.items():
-                st.grads[k][...] = g
-            grads = st.grads
-        else:
-            grads = {k: g.copy() for k, g in drawn.items()}
-        step(params, grads, st)
+        set_grads(st, drawn)
+        step(st)
         per_parameter_adam_step(ref, drawn, m, v, t, 2e-3)
         assert st.t == t
         for k in ref:
             assert params[k].tobytes() == ref[k].tobytes(), (t, k)
-            assert grads[k].tobytes() == drawn[k].tobytes(), (t, k)  # step reads, never writes
+            assert st.grads[k].tobytes() == drawn[k].tobytes(), (t, k)  # step reads, never writes
         assert st.grad.tobytes() == b"".join(drawn[k].tobytes() for k in params)
     for buf, per_param in ((st.m, m), (st.v, v)):
         assert buf.tobytes() == b"".join(a.tobytes() for a in per_param.values())
@@ -1080,12 +1090,12 @@ def test_nonfinite_gradient_in_the_last_block_changes_nothing(dtype):
     rng = np.random.default_rng(1)
     for name, g in st.grads.items():
         g[...] = rng.normal(0.0, 0.1, g.shape)
-    step(params, st.grads, st)  # moments away from zero
+    step(st)  # moments away from zero
     assert st.grad.size - st.grad.size % BLOCK > params["w"].size + params["b"].size
     st.grads["u"][-1] = np.inf  # the last element: in the ragged last block only
     before = [st.flat.tobytes(), st.m.tobytes(), st.v.tobytes(), st.t, st.grad.tobytes()]
     with pytest.raises(FloatingPointError) as e:
-        step(params, st.grads, st)
+        step(st)
     assert str(e.value) == "divergence: non-finite gradient in u at step 2"
     assert [st.flat.tobytes(), st.m.tobytes(), st.v.tobytes(), st.t,
             st.grad.tobytes()] == before
@@ -1120,7 +1130,7 @@ def test_lm_grads_written_into_adams_buffer_match_a_fresh_buffer(dtype, freeze_i
     assert got[3] is st.grads
     for name in model.params:
         assert got[3][name].tobytes() == want[3][name].tobytes(), name
-    step(model.params, got[3], st)
+    step(st)
     for name in model.params:
         assert st.grads[name].tobytes() == want[3][name].tobytes(), name
 
@@ -1182,6 +1192,18 @@ def test_in_place_head_matches_the_copying_formulas(dtype):
     assert in_place[2].tobytes() == copied[2].tobytes()
 
 
+def test_step_memory_script_runs_a_desk_step():
+    """scripts/step_memory.py rebuilds a training step op by op; a change
+    of any signature it calls must fail here."""
+    root = Path(warplm.nnet.encoder.__file__).resolve().parents[3]
+    run = subprocess.run([sys.executable, str(root / "scripts" / "step_memory.py"), "230", "3"],
+                         env={**os.environ, "PYTHONPATH": str(root / "src")},
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    printed = [line.split()[0] for line in run.stdout.splitlines()]
+    assert printed[1:] == ["peak", "val_peak", "minor_faults", "step_ms"], run.stdout
+
+
 @pytest.mark.parametrize("dense", [False, True], ids=["padded", "dense"])
 def test_lm_step_allocates_under_twice_the_parameters_at_a_30k_vocab(dense):
     """One LM step plus its Adam step at V 30000 and desk dims allocates
@@ -1210,14 +1232,15 @@ def test_lm_step_allocates_under_twice_the_parameters_at_a_30k_vocab(dense):
         return lm_loss_and_grads(model, ids, pad, labels, pm, dropout_rng=drop_rng,
                                  grads=st.grads)[3]
 
-    step(model.params, lm_step(), st)  # warm-up
+    lm_step()
+    step(st)  # warm-up
     tracemalloc.start()
     try:
-        grads = lm_step()
+        lm_step()
         _, step_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         before, _ = tracemalloc.get_traced_memory()
-        step(model.params, grads, st)
+        step(st)
         current, adam_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1363,7 +1386,7 @@ def blocked_state(dtype, size):
     assert st.flat.size == size
     st.grad[...] = rng.normal(0.0, 0.1, st.grad.size)
     ref_adam_step(st)
-    return params, st
+    return st
 
 
 def state_bytes(st):
@@ -1417,12 +1440,12 @@ def test_lm_backward_matches_the_plain_head_bit_for_bit(dtype, n_pred, V):
 @pytest.mark.parametrize("size", [1000, BLOCK, BLOCK + 1, 2 * BLOCK, 3 * BLOCK + 1013])
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_adam_matches_the_blocked_formula_bit_for_bit(dtype, size):
-    params, st = blocked_state(dtype, size)
-    _, ref = blocked_state(dtype, size)
+    st = blocked_state(dtype, size)
+    ref = blocked_state(dtype, size)
     rng = np.random.default_rng(5)
     for _ in range(4):
         st.grad[...] = ref.grad[...] = rng.normal(0.0, 0.1, st.grad.size)
-        step(params, st.grads, st)
+        step(st)
         ref_adam_step(ref)
         assert state_bytes(st) == state_bytes(ref)
         assert st.grad.tobytes() == ref.grad.tobytes()

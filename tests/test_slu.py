@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 from warplm.nnet import ModelConfig, encoder_backward, forward, init_model
 from warplm.nnet import load_checkpoint, load_encoder, save_encoder
 from warplm.nnet.checkpoint import HEADER_KEYS
+from warplm.nnet.model import head_shapes
 from warplm.slu import (
     OUTSIDE,
     SLUModel,
     TaggedUtterance,
+    _trainable,
     conll_f1,
     count_truncated,
     encode_slu_batch,
@@ -295,6 +297,9 @@ def test_tagged_utterance_validation():
 
 # ------------------------------------------------------------------- model
 
+HEADS = tuple(head_shapes(1, 1, 1))
+
+
 def desk_encoder(seed=0):
     return init_model(ModelConfig.desk(len(VOCAB)), seed=seed)
 
@@ -320,8 +325,8 @@ def test_slu_loss_uniform_logits_oracle():
     utts = synth_slu_utterances(6, VOCAB, seed=2)
     intents, tags = label_inventory(utts)
     model = init_slu_model(desk_encoder(), intents, tags)
-    for k in model.head:
-        model.head[k][:] = 0.0
+    for k in HEADS:
+        model.params[k][:] = 0.0
     loss, grads = slu_loss_and_grads(model, utts)
     assert abs(loss - (math.log(len(intents)) + math.log(len(tags)))) < 1e-5
     assert set(grads) >= {"head.intent_w", "head.slot_w"}
@@ -335,9 +340,7 @@ def test_slu_grads_match_finite_differences():
                     d_ff=24, max_len=32, dropout=0.0),
         seed=1,
     ).astype(np.float64)
-    model = init_slu_model(enc, intents, tags, seed=0)
-    for k in model.head:
-        model.head[k] = model.head[k].astype(np.float64)
+    model = init_slu_model(enc, intents, tags, seed=0).astype(np.float64)
     _, grads = slu_loss_and_grads(model, utts)
 
     def loss_at():
@@ -345,11 +348,8 @@ def test_slu_grads_match_finite_differences():
 
     eps = 1e-5
     rng = np.random.default_rng(0)
-    for name, arr in (("head.slot_w", model.head["slot_w"]),
-                      ("head.intent_b", model.head["intent_b"]),
-                      ("tok_emb", model.encoder.params["tok_emb"]),
-                      ("layers.0.attn.wq", model.encoder.params["layers.0.attn.wq"])):
-        flat = arr.reshape(-1)
+    for name in ("head.slot_w", "head.intent_b", "tok_emb", "layers.0.attn.wq"):
+        flat = model.params[name].reshape(-1)
         for j in rng.choice(flat.size, size=min(6, flat.size), replace=False):
             orig = flat[j]
             flat[j] = orig + eps
@@ -366,8 +366,8 @@ def full_shape_slu_reference(model, utts, dropout_rng=None, freeze_encoder=False
     """The SLU heads as written without gathering: [B,L,S] slot logits, a
     masked cross-entropy over them, and the backward from the full d_slot."""
     ids, pad, intent_ids, tag_ids, tag_mask = encode_slu_batch(model, utts)
-    H = model.head
-    hidden, cache = forward(model.encoder, ids, pad, dropout_rng)
+    P = model.params
+    hidden, cache = forward(model, ids, pad, dropout_rng)
 
     def masked_ce(logits, labels, mask):
         z = logits - logits.max(axis=-1, keepdims=True)
@@ -379,19 +379,19 @@ def full_shape_slu_reference(model, utts, dropout_rng=None, freeze_encoder=False
         d *= mask[..., None] / n
         return -float(logp[at].sum() / n), d
 
-    i_loss, d_int = masked_ce(hidden[:, 0] @ H["intent_w"] + H["intent_b"], intent_ids,
-                              np.ones(len(utts), bool))
-    s_loss, d_slot = masked_ce(hidden @ H["slot_w"] + H["slot_b"], tag_ids, tag_mask)
-    d_hidden = d_slot @ H["slot_w"].T
-    d_hidden[:, 0] += d_int @ H["intent_w"].T
+    i_loss, d_int = masked_ce(hidden[:, 0] @ P["head.intent_w"] + P["head.intent_b"],
+                              intent_ids, np.ones(len(utts), bool))
+    s_loss, d_slot = masked_ce(hidden @ P["head.slot_w"] + P["head.slot_b"], tag_ids, tag_mask)
+    d_hidden = d_slot @ P["head.slot_w"].T
+    d_hidden[:, 0] += d_int @ P["head.intent_w"].T
     grads = {
         "head.intent_w": hidden[:, 0].T @ d_int,
         "head.intent_b": d_int.sum(axis=0),
         "head.slot_w": np.tensordot(hidden, d_slot, axes=([0, 1], [0, 1])),
         "head.slot_b": d_slot.sum(axis=(0, 1)),
     }
-    if not freeze_encoder:
-        grads.update(encoder_backward(model.encoder, cache, d_hidden[pad], freeze_ins=True))
+    if not freeze_encoder:  # the encoder's gradients; its zeros at the heads are replaced
+        grads = {**encoder_backward(model, cache, d_hidden[pad], freeze_ins=True), **grads}
     return i_loss + s_loss, grads
 
 
@@ -406,9 +406,8 @@ def test_gathered_slu_heads_match_full_shape_reference(freeze_encoder, dropout):
                     d_ff=24, max_len=32, dropout=dropout),
         seed=2,
     ).astype(np.float64)
-    model = init_slu_model(enc, intents, [t for t in tags if t != dropped], seed=1)
-    for k in model.head:
-        model.head[k] = model.head[k].astype(np.float64)
+    model = init_slu_model(enc, intents, [t for t in tags if t != dropped],
+                           seed=1).astype(np.float64)
     rng = (lambda: np.random.default_rng(9)) if dropout else (lambda: None)
     loss, grads = slu_loss_and_grads(model, utts, dropout_rng=rng(),
                                      freeze_encoder=freeze_encoder)
@@ -426,9 +425,7 @@ def test_gathered_slu_heads_match_full_shape_reference(freeze_encoder, dropout):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_slu_grads_keep_parameter_dtype(dtype):
     utts = synth_slu_utterances(4, VOCAB, seed=3)
-    model = init_slu_model(desk_encoder().astype(dtype), *label_inventory(utts))
-    for k in model.head:
-        model.head[k] = model.head[k].astype(dtype)
+    model = init_slu_model(desk_encoder(), *label_inventory(utts)).astype(dtype)
     _, grads = slu_loss_and_grads(model, utts, dropout_rng=np.random.default_rng(0))
     assert {g.dtype for g in grads.values()} == {np.dtype(dtype)}
 
@@ -452,10 +449,10 @@ def test_slu_predict_matches_full_shape_logits():
     model = init_slu_model(init_model(ModelConfig.desk(len(VOCAB), max_len=16), seed=3),
                            *label_inventory(utts), seed=1)
     ids, pad, *_ = encode_slu_batch(model, utts)
-    hidden, _ = forward(model.encoder, ids, pad)
-    H = model.head
-    want_int = np.argmax(hidden[:, 0] @ H["intent_w"] + H["intent_b"], axis=-1)
-    want_tag = np.argmax(hidden @ H["slot_w"] + H["slot_b"], axis=-1)
+    hidden, _ = forward(model, ids, pad)
+    P = model.params
+    want_int = np.argmax(hidden[:, 0] @ P["head.intent_w"] + P["head.intent_b"], axis=-1)
+    want_tag = np.argmax(hidden @ P["head.slot_w"] + P["head.slot_b"], axis=-1)
     intents, tag_seqs = slu_predict(model, utts)
     assert intents == [model.intent_labels[i] for i in want_int]
     for i, (u, seq) in enumerate(zip(utts, tag_seqs)):
@@ -490,10 +487,9 @@ def test_finetune_deterministic():
     utts = synth_slu_utterances(20, VOCAB, seed=8)
     m1, h1 = finetune(desk_encoder(), utts[:16], utts[16:], epochs=2, seed=3)
     m2, h2 = finetune(desk_encoder(), utts[:16], utts[16:], epochs=2, seed=3)
-    for k in m1.encoder.params:
-        assert np.array_equal(m1.encoder.params[k], m2.encoder.params[k])
-    for k in m1.head:
-        assert np.array_equal(m1.head[k], m2.head[k])
+    assert m1.params.keys() == m2.params.keys()
+    for k in m1.params:
+        assert np.array_equal(m1.params[k], m2.params[k])
     assert [asdict(r) for r in h1] == [asdict(r) for r in h2]
 
 
@@ -511,9 +507,9 @@ def test_finetune_returns_the_weights_it_trained():
     assert (m.intent_accuracy, m.slot_f1, m.joint_accuracy) == (
         kept.intent_accuracy, kept.slot_f1, kept.joint_accuracy)
     initial = init_slu_model(enc, model.intent_labels, model.tag_labels, seed=0)
-    assert not all(np.array_equal(enc.params[k], model.encoder.params[k]) for k in enc.params)
-    for k in model.head:
-        assert not np.array_equal(initial.head[k], model.head[k]), k
+    assert not all(np.array_equal(enc.params[k], model.params[k]) for k in enc.params)
+    for k in HEADS:
+        assert not np.array_equal(initial.params[k], model.params[k]), k
 
 
 def test_finetune_does_not_mutate_input_encoder():
@@ -531,7 +527,7 @@ def test_finetune_freeze_encoder_leaves_encoder_untouched():
     model, _ = finetune(enc, utts[:12], utts[12:], epochs=2, seed=1,
                         freeze_encoder=True)
     for k in enc.params:
-        assert np.array_equal(enc.params[k], model.encoder.params[k]), k
+        assert np.array_equal(enc.params[k], model.params[k]), k
 
 
 def test_slu_checkpoint_round_trip(tmp_path):
@@ -556,7 +552,7 @@ def labelled_model():
 
 def test_checkpoint_headers_hold_exactly_the_keys_of_their_kind(tmp_path):
     model = labelled_model()
-    save_encoder(tmp_path / "encoder.ckpt", model.encoder, VOCAB.content_hash)
+    save_encoder(tmp_path / "encoder.ckpt", desk_encoder(), VOCAB.content_hash)
     save_slu(tmp_path / "slu.ckpt", model, VOCAB.content_hash)
     for kind in ("encoder", "slu"):
         header, _ = load_checkpoint(tmp_path / f"{kind}.ckpt")
@@ -569,11 +565,11 @@ def test_load_encoder_reads_the_encoder_of_an_slu_checkpoint(tmp_path):
     save_slu(tmp_path / "slu.ckpt", model, VOCAB.content_hash)
     encoder, header = load_encoder(tmp_path / "slu.ckpt")
     assert header["kind"] == "slu"
-    assert encoder.config == model.encoder.config
-    assert encoder.params.keys() == model.encoder.params.keys()
+    assert encoder.config == model.config
+    assert encoder.params.keys() == model.params.keys() - set(HEADS)
     assert not any(k.startswith("head.") for k in encoder.params)
-    for k, v in model.encoder.params.items():
-        got = encoder.params[k]
+    for k, got in encoder.params.items():
+        v = model.params[k]
         assert got.dtype == v.dtype and got.tobytes() == v.tobytes(), k
 
 
@@ -587,9 +583,7 @@ def test_slu_grads_written_into_adams_buffer_match_a_fresh_buffer(freeze_encoder
     rng = lambda: np.random.default_rng(4)
     want_loss, want = slu_loss_and_grads(model, utts, dropout_rng=rng(),
                                          freeze_encoder=freeze_encoder)
-    trainable = ({"head." + k: v for k, v in model.head.items()} if freeze_encoder
-                 else model.all_params())
-    adam = init_adam(trainable)
+    adam = init_adam(_trainable(model, freeze_encoder))
     adam.grad[...] = np.nan
     loss, grads = slu_loss_and_grads(model, utts, dropout_rng=rng(),
                                      freeze_encoder=freeze_encoder, grads=adam.grads)
