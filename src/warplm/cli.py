@@ -47,7 +47,7 @@ class RunConfig:
     max_len: int = ModelConfig.max_len
     dropout: float = ModelConfig.dropout
     p_select: float = warp.WarpConfig.p_select
-    val_fraction: float = 0.1
+    val_fraction: float = pretrain_mod.VAL_FRACTION
     freeze_encoder: bool = False
 
 

@@ -1,16 +1,9 @@
 """Noise-robustness experiment matrix.
 
-Settings name the (fine-tune data, test data) pairing:
-    clean-clean   fine-tune on clean text, test on clean text
-    clean-noisy   fine-tune on clean text, test on noisy text
-    noisy-noisy   fine-tune on noisy text, test on noisy text
-
-For each setting, both pretraining objectives (masked-only "mlm" vs the
-full warp op set "wlm") are fine-tuned over several seeds; per-metric means
-and standard deviations are reported with an exact two-sided permutation
-test between the two objectives. Settings with the same fine-tune data
-share their fine-tuned models: clean-clean and clean-noisy score one model
-per (objective, seed) on the two test sets.
+For each setting (SETTINGS), both pretraining objectives (masked-only MLM
+vs the full warp op set WLM) are fine-tuned over several seeds;
+per-metric means and standard deviations are reported with an exact
+two-sided permutation test between the two objectives (COMPARED).
 
 The matrix's independent cells (one pretrain per objective, then one
 fine-tune and evaluation per training set, objective and seed) run in up to
@@ -37,28 +30,43 @@ import numpy as np
 from .asrsim import NoiseConfig, make_noisy_slu_set, save_noisy_slu_set
 from .nnet import EncoderModel, ModelConfig
 from .nnet.blas import one_blas_thread
-from .pretrain import pretrain, split_validation
+from .pretrain import VAL_FRACTION, pretrain, split_validation
 from .seeding import derive_seed
 from .slu import evaluate_slu, finetune, save_slu_file
 from .synth import synth_corpus_text, synth_slu_splits, synth_vocab
 from .textcore import corpus_from_text, save_vocab, write_json, write_jsonl
 from .warp import OBJECTIVES as WARP_OBJECTIVES, WarpConfig
 
-SETTINGS = ("clean-clean", "clean-noisy", "noisy-noisy")
+# setting -> (fine-tune data, test data). Settings with the same fine-tune
+# data share their fine-tuned models: clean-clean and clean-noisy score one
+# model per (objective, seed) on the two test sets.
+SETTINGS = {
+    "clean-clean": ("clean", "clean"),
+    "clean-noisy": ("clean", "noisy"),
+    "noisy-noisy": ("noisy", "noisy"),
+}
+# split -> (NoiseConfig preset, derive_seed tag) of its noisy copy, in the
+# order write_synthetic_data returns the clean splits
+NOISY_SPLITS = {
+    "train": (NoiseConfig.train_val(), 3),
+    "val": (NoiseConfig.train_val(), 4),
+    "test": (NoiseConfig.test(), 5),
+}
 OBJECTIVES = tuple(WARP_OBJECTIVES)
+COMPARED = ("wlm", "mlm")  # the objectives the permutation test compares
 METRICS = ("intent_accuracy", "slot_f1", "joint_accuracy")
 
 
 @dataclass(frozen=True)
 class ExperimentMatrix:
-    settings: tuple[str, ...] = SETTINGS
+    settings: tuple[str, ...] = tuple(SETTINGS)
     objectives: tuple[str, ...] = OBJECTIVES
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
 
     def __post_init__(self):
         for s in self.settings:
             if s not in SETTINGS:
-                raise ValueError(f"unknown setting {s!r} (choose from {SETTINGS})")
+                raise ValueError(f"unknown setting {s!r} (choose from {tuple(SETTINGS)})")
         for o in self.objectives:
             WarpConfig(o)
         for name in ("settings", "objectives", "seeds"):
@@ -137,18 +145,18 @@ def summarize(records: list[RunRecord], matrix: ExperimentMatrix) -> ExperimentR
                 }
                 for m in METRICS
             }
-        if set(matrix.objectives) >= {"wlm", "mlm"}:
-            p_values[setting] = {}
-            for m in METRICS:
-                xs = [getattr(r, m) for r in by_key.get((setting, "wlm"), [])]
-                ys = [getattr(r, m) for r in by_key.get((setting, "mlm"), [])]
-                p_values[setting][m] = permutation_test(xs, ys)
+        if set(COMPARED) <= set(matrix.objectives):
+            p_values[setting] = {
+                m: permutation_test(*([getattr(r, m) for r in by_key.get((setting, obj), [])]
+                                      for obj in COMPARED))
+                for m in METRICS
+            }
     return ExperimentReport(records, summary, p_values)
 
 
 def render_table(report: ExperimentReport, matrix: ExperimentMatrix) -> str:
     """Fixed-width summary; '*' marks a significant difference (p < alpha)
-    on that metric, attached to the higher mean."""
+    on that metric, attached to the higher mean of the COMPARED pair."""
     col_names = {"intent_accuracy": "intent", "slot_f1": "slot_f1",
                  "joint_accuracy": "joint"}
     lines = []
@@ -167,25 +175,17 @@ def render_table(report: ExperimentReport, matrix: ExperimentMatrix) -> str:
             for m in METRICS:
                 cell = report.summary[setting][obj][m]
                 mark = ""
-                p = report.p_values.get(setting, {}).get(m)
-                if p is not None and p < report.alpha:
-                    other = "mlm" if obj == "wlm" else "wlm"
-                    if cell["mean"] > report.summary[setting][other][m]["mean"]:
+                if report.p_values.get(setting, {}).get(m, 1.0) < report.alpha:
+                    if cell["mean"] > min(report.summary[setting][o][m]["mean"] for o in COMPARED):
                         mark = "*"
                 text = f"{cell['mean']:.3f}±{cell['std']:.3f}{mark}"
                 row += f"{text:>14s}"
         lines.append(row.rstrip())
-    plines = []
-    for setting in matrix.settings:
-        if setting in report.p_values:
-            ps = report.p_values[setting]
-            plines.append(
-                f"p({setting}): "
-                + "  ".join(f"{col_names[m]}={ps[m]:.4f}" for m in METRICS)
-            )
-    if plines:
+    if report.p_values:  # every setting's, in matrix order, or none
         lines.append("")
-        lines.extend(plines)
+        for setting, ps in report.p_values.items():
+            lines.append(f"p({setting}): "
+                         + "  ".join(f"{col_names[m]}={ps[m]:.4f}" for m in METRICS))
         lines.append(f"'*' = higher mean, two-sided permutation p < {report.alpha}")
     return "\n".join(lines) + "\n"
 
@@ -315,21 +315,18 @@ def run_experiment(
     _require_at_least(("pretrain_epochs", pretrain_epochs, 0),
                       ("finetune_epochs", finetune_epochs, 1))
     out = Path(out_dir)
-    vocab, corpus_text, (train, val, test) = write_synthetic_data(
+    vocab, corpus_text, splits = write_synthetic_data(
         out, n_corpus, n_train, n_val, n_test, seed)
     model_cfg = ModelConfig.desk(len(vocab))
-    train_sents, val_sents = split_validation(corpus_from_text(corpus_text, vocab).sentences, 0.1)
+    train_sents, val_sents = split_validation(corpus_from_text(corpus_text, vocab).sentences,
+                                              VAL_FRACTION)
 
-    noisy_sets = {}
-    for name, utts, cfg_noise, tag in (
-        ("train", train, NoiseConfig.train_val(), 3),
-        ("val", val, NoiseConfig.train_val(), 4),
-        ("test", test, NoiseConfig.test(), 5),
-    ):
-        noisy_set = make_noisy_slu_set(utts, cfg_noise, vocab, derive_seed(seed, tag))
-        noisy_sets[name] = noisy_set[0]
-        save_noisy_slu_set(out / f"slu_{name}_noisy.tsv",
-                           out / f"slu_{name}_noisy.align.json", noisy_set, vocab)
+    data = {"clean": dict(zip(NOISY_SPLITS, splits)), "noisy": {}}  # kind -> split -> utterances
+    for split, (noise, tag) in NOISY_SPLITS.items():
+        noisy_set = make_noisy_slu_set(data["clean"][split], noise, vocab, derive_seed(seed, tag))
+        data["noisy"][split] = noisy_set[0]
+        save_noisy_slu_set(out / f"slu_{split}_noisy.tsv",
+                           out / f"slu_{split}_noisy.align.json", noisy_set, vocab)
 
     # The cells call `pretrain`, `finetune` and `evaluate_slu` through this
     # module's globals, looked up when a cell runs.
@@ -337,22 +334,19 @@ def run_experiment(
         return pretrain(train_sents, val_sents, vocab, model_cfg, WarpConfig(obj),
                         epochs=pretrain_epochs, seed=derive_seed(seed, 6))
 
-    # One fine-tune per (training set, objective, seed), scored on the test
-    # set of every setting that trains on that set.
-    train_sets = {"clean": (train, val), "noisy": (noisy_sets["train"], noisy_sets["val"])}
-    test_sets = {"clean": test, "noisy": noisy_sets["test"]}
+    # One fine-tune per (fine-tune data, objective, seed), scored on the
+    # test data of every setting that fine-tunes on that data.
     finetune_keys = [
         (kind, obj, s)
-        for kind in train_sets if any(st.startswith(kind) for st in matrix.settings)
+        for kind in data if any(SETTINGS[st][0] == kind for st in matrix.settings)
         for obj, s in itertools.product(matrix.objectives, matrix.seeds)
     ]
 
     def finetune_cell(kind, obj, s):
-        ft_train, ft_val = train_sets[kind]
-        model, _ = finetune(encoders[obj], ft_train, ft_val, epochs=finetune_epochs,
-                            seed=derive_seed(seed, 7, s))
-        return {setting: evaluate_slu(model, test_sets[setting.split("-")[1]])
-                for setting in matrix.settings if setting.startswith(kind)}
+        model, _ = finetune(encoders[obj], data[kind]["train"], data[kind]["val"],
+                            epochs=finetune_epochs, seed=derive_seed(seed, 7, s))
+        return {st: evaluate_slu(model, data[SETTINGS[st][1]]["test"])
+                for st in matrix.settings if SETTINGS[st][0] == kind}
 
     if log:
         for obj in matrix.objectives:

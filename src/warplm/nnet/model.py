@@ -121,9 +121,6 @@ class EncoderModel:
     config: ModelConfig
     params: dict[str, np.ndarray] = field(repr=False)
 
-    def copy(self) -> "EncoderModel":
-        return replace(self, params={k: v.copy() for k, v in self.params.items()})
-
     def astype(self, dtype) -> "EncoderModel":
         return replace(self, params={k: v.astype(dtype) for k, v in self.params.items()})
 

@@ -37,6 +37,8 @@ _SEED_TRAIN_WARP = 13
 _SEED_VAL_WARP = 14
 _SEED_DROPOUT = 15
 
+VAL_FRACTION = 0.1  # corpus share held out for validation: run_experiment's, and the CLI's default
+
 
 def pad_batch(examples: list[WarpedExample], max_len: int):
     """Stack warped examples into (input_ids, pad_mask, label_ids,

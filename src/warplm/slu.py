@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .nnet import EncoderModel, encoder_backward, forward, init_adam, step
+from .nnet.blas import one_blas_thread
 from .nnet.checkpoint import load_model_checkpoint, save_model
 from .nnet.encoder import _ce, pad_rows, zero_grads
 from .nnet.model import head_shapes, init_params
@@ -377,10 +378,12 @@ def finetune(
     freeze_encoder: bool = False,
     log=None,
 ) -> tuple[SLUModel, list[FinetuneEpoch]]:
-    """Fine-tune a (copy of a) pretrained encoder with fresh heads.
+    """Fine-tune a pretrained encoder, which is never written, with fresh heads.
 
-    Keeps the parameters from `kept_epoch(history)`. The trained
-    parameters live in Adam's flat buffer, which the returned model views."""
+    Keeps the parameters from `kept_epoch(history)` in Adam's flat buffer,
+    which the returned model views; a frozen fine-tune's model shares the
+    encoder's arrays and only reads them. Runs at one OpenBLAS thread, as
+    `pretrain` does, so the bytes do not depend on the BLAS thread count."""
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if batch_size < 1:
@@ -390,38 +393,39 @@ def finetune(
     if not val_utts:
         raise ValueError("empty validation set")
     intents, tags = label_inventory(train_utts + val_utts)
-    model = init_slu_model(encoder.copy(), intents, tags, seed)
+    model = init_slu_model(encoder, intents, tags, seed)
     trainable = _trainable(model, freeze_encoder)
     adam = init_adam(trainable, lr=lr)
     model.params.update(trainable)  # the views, where `trainable` is the heads alone
     history: list[FinetuneEpoch] = []
-    for epoch in range(1, epochs + 1):
-        order = np.random.default_rng(
-            derive_seed(seed, _SEED_SHUFFLE, epoch)
-        ).permutation(len(train_utts))
-        drop_rng = np.random.default_rng(derive_seed(seed, _SEED_DROPOUT, epoch))
-        loss_sum, n_batches = 0.0, 0
-        for lo in range(0, len(order), batch_size):
-            chunk = [train_utts[j] for j in order[lo : lo + batch_size]]
-            loss, _ = slu_loss_and_grads(
-                model, chunk, dropout_rng=drop_rng, freeze_encoder=freeze_encoder,
-                grads=adam.grads,
+    with one_blas_thread():
+        for epoch in range(1, epochs + 1):
+            order = np.random.default_rng(
+                derive_seed(seed, _SEED_SHUFFLE, epoch)
+            ).permutation(len(train_utts))
+            drop_rng = np.random.default_rng(derive_seed(seed, _SEED_DROPOUT, epoch))
+            loss_sum, n_batches = 0.0, 0
+            for lo in range(0, len(order), batch_size):
+                chunk = [train_utts[j] for j in order[lo : lo + batch_size]]
+                loss, _ = slu_loss_and_grads(
+                    model, chunk, dropout_rng=drop_rng, freeze_encoder=freeze_encoder,
+                    grads=adam.grads,
+                )
+                if not math.isfinite(loss):
+                    raise FloatingPointError(f"divergence: loss {loss} at epoch {epoch}")
+                step(adam)
+                loss_sum += loss
+                n_batches += 1
+            m = evaluate_slu(model, val_utts)
+            row = FinetuneEpoch(
+                epoch, loss_sum / max(1, n_batches), m.intent_accuracy, m.slot_f1,
+                m.joint_accuracy,
             )
-            if not math.isfinite(loss):
-                raise FloatingPointError(f"divergence: loss {loss} at epoch {epoch}")
-            step(adam)
-            loss_sum += loss
-            n_batches += 1
-        m = evaluate_slu(model, val_utts)
-        row = FinetuneEpoch(
-            epoch, loss_sum / max(1, n_batches), m.intent_accuracy, m.slot_f1,
-            m.joint_accuracy,
-        )
-        history.append(row)
-        if log is not None:
-            log(row)
-        if kept_epoch(history) is row:
-            snap = adam.flat.copy()
+            history.append(row)
+            if log is not None:
+                log(row)
+            if kept_epoch(history) is row:
+                snap = adam.flat.copy()
     np.copyto(adam.flat, snap)
     return model, history
 

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -17,6 +18,7 @@ import warplm.experiment
 from warplm.cli import main
 from warplm.experiment import (
     METRICS,
+    OBJECTIVES,
     ExperimentMatrix,
     RunRecord,
     permutation_test,
@@ -26,7 +28,7 @@ from warplm.experiment import (
     write_synthetic_data,
 )
 from warplm.nnet import ModelConfig
-from warplm.pretrain import pretrain, split_validation
+from warplm.pretrain import VAL_FRACTION, pretrain, split_validation
 from warplm.seeding import derive_seed
 from warplm.slu import evaluate_slu, finetune
 from warplm.textcore import corpus_from_text
@@ -90,34 +92,60 @@ def test_permutation_test_monte_carlo_branch():
 
 # ---------------------------------------------------------------- summary
 
-def fake_records():
+def fake_records(lifted="wlm", objectives=("wlm", "mlm")):
+    """Five seeds per (setting, objective); `lifted` scores 0.05 higher on
+    every metric and seed."""
     recs = []
     for setting, bias in (("clean-clean", 0.2), ("clean-noisy", 0.0)):
-        for obj, lift in (("wlm", 0.05), ("mlm", 0.0)):
+        for obj in objectives:
             for seed in range(5):
-                base = 0.5 + bias + lift + 0.001 * seed
+                base = 0.5 + bias + 0.05 * (obj == lifted) + 0.001 * seed
                 recs.append(RunRecord(obj, setting, seed, base + 0.3, base + 0.1, base))
     return recs
 
 
-def test_summarize_and_table():
-    matrix = ExperimentMatrix(settings=("clean-clean", "clean-noisy"), seeds=(0, 1, 2, 3, 4))
-    report = summarize(fake_records(), matrix)
+def table_rows(table):
+    """objective -> its row of a render_table table."""
+    rows = {line.partition(" ")[0]: line for line in table.splitlines()}
+    return {obj: row for obj, row in rows.items() if obj in OBJECTIVES}
+
+
+@pytest.mark.parametrize("lifted", ["wlm", "mlm"])
+@pytest.mark.parametrize("objectives", [("wlm", "mlm"), ("mlm", "wlm")],
+                         ids=["wlm-first", "mlm-first"])
+def test_summarize_and_table(objectives, lifted):
+    matrix = ExperimentMatrix(settings=("clean-clean", "clean-noisy"), objectives=objectives,
+                              seeds=(0, 1, 2, 3, 4))
+    report = summarize(fake_records(lifted, objectives), matrix)
     cc = report.summary["clean-clean"]
-    assert abs(cc["wlm"]["joint_accuracy"]["mean"] - 0.752) < 1e-9
-    assert cc["wlm"]["joint_accuracy"]["std"] > 0
-    # wlm strictly above mlm on every seed -> minimal exact p, significant
+    assert abs(cc[lifted]["joint_accuracy"]["mean"] - 0.752) < 1e-9
+    assert cc[lifted]["joint_accuracy"]["std"] > 0
+    # `lifted` strictly above the other on every seed -> minimal exact p, significant
     p = report.p_values["clean-clean"]["joint_accuracy"]
     assert p == 2 / math.comb(10, 5)
     table = render_table(report, matrix)
-    assert "wlm" in table and "mlm" in table
-    assert "*" in table
+    rows = table_rows(table)
+    assert list(rows) == list(objectives)
+    # each significant metric of each setting stars the higher mean, and only it
+    assert rows[lifted].count("*") == 2 * len(METRICS)
+    assert all("*" not in row for obj, row in rows.items() if obj != lifted)
     assert "clean-noisy" in table
     json.dumps(asdict(report))
 
 
+@pytest.mark.parametrize("obj", OBJECTIVES)
+def test_a_matrix_without_the_compared_pair_has_no_p_values(obj):
+    matrix = ExperimentMatrix(settings=("clean-clean", "clean-noisy"), objectives=(obj,))
+    report = summarize(fake_records(objectives=(obj,)), matrix)
+    assert report.p_values == {}
+    table = render_table(report, matrix)
+    assert list(table_rows(table)) == [obj]
+    assert "p(" not in table and "*" not in table
+
+
 def test_matrix_validation():
-    with pytest.raises(ValueError, match="unknown setting"):
+    choices = "(choose from ('clean-clean', 'clean-noisy', 'noisy-noisy'))"
+    with pytest.raises(ValueError, match=re.escape(f"unknown setting 'clean-dirty' {choices}")):
         ExperimentMatrix(settings=("clean-dirty",))
     with pytest.raises(ValueError, match="seeds"):
         ExperimentMatrix(seeds=())
@@ -283,7 +311,7 @@ def test_a_record_equals_its_cell_run_serially(tmp_path):
         tmp_path / "data", MICRO["n_corpus"], MICRO["n_train"], MICRO["n_val"],
         MICRO["n_test"], MICRO["seed"])
     train_sents, val_sents = split_validation(
-        corpus_from_text(corpus_text, vocab).sentences, 0.1)
+        corpus_from_text(corpus_text, vocab).sentences, VAL_FRACTION)
     encoder, _ = pretrain(train_sents, val_sents, vocab, ModelConfig.desk(len(vocab)),
                           WarpConfig("mlm"), epochs=MICRO["pretrain_epochs"],
                           batch_size=32, lr=1e-3, seed=derive_seed(MICRO["seed"], 6))

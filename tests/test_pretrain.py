@@ -12,7 +12,8 @@ import warplm.experiment
 from warplm.nnet import ModelConfig, init_model
 from warplm.nnet.blas import _openblas_thread_controls
 from warplm.pretrain import EpochStats, evaluate_lm, pad_batch, pretrain, validation_warps
-from warplm.synth import synth_corpus_text, synth_vocab
+from warplm.slu import finetune
+from warplm.synth import synth_corpus_text, synth_slu_utterances, synth_vocab
 from warplm.textcore import INS_ID, PAD_ID, SPECIAL_TOKENS, Vocab, corpus_from_text
 from warplm.warp import WarpConfig, WarpedExample, WarpPlan
 
@@ -154,6 +155,27 @@ def test_a_30k_vocabulary_pretrain_writes_the_same_bytes_at_any_blas_thread_coun
             set_(threads)
             model, history = pretrain(sents[8:], sents[:8], vocab, ModelConfig.desk(len(vocab)),
                                       WarpConfig("wlm"), epochs=1, seed=3)
+            assert get() == threads
+            runs.append(([p.tobytes() for p in model.params.values()],
+                         [asdict(row) for row in history]))
+    finally:
+        set_(old)
+    assert runs[0] == runs[1]
+
+
+def test_a_batch_64_finetune_writes_the_same_bytes_at_any_blas_thread_count():
+    controls = _openblas_thread_controls()
+    if not controls:
+        pytest.skip("numpy's OpenBLAS thread-count functions were not found")
+    get, set_ = controls[0]
+    utts = synth_slu_utterances(64, VOCAB, seed=1)
+    encoder = init_model(ModelConfig.desk(len(VOCAB)), seed=0)
+    old = get()
+    runs = []
+    try:
+        for threads in (1, 2):
+            set_(threads)
+            model, history = finetune(encoder, utts, utts[:8], epochs=1, batch_size=64, seed=3)
             assert get() == threads
             runs.append(([p.tobytes() for p in model.params.values()],
                          [asdict(row) for row in history]))
